@@ -5,10 +5,15 @@ returns a Report of what was checked and which instances, if any, violated
 the claimed property.  Violations are collected, never raised: a failed
 check is data.
 
-The pair sweeps are exact but large (2**(r*r) squared pairs), so the word
-statistics are evaluated through precomputed per-word contribution tables
-indexed by relation bitmasks; the tables implement the same definitions as
-the statistics module and the test suite cross-checks the two routes.
+The pair sweeps are exact but large (2**(r*r) squared pairs), so they are
+staged by weight.  At weight n every surviving pair is evaluated on the words
+of weight n, through per-word contribution tables indexed by relation
+bitmasks, and it survives when each class carries the same multiset of values
+as its target statistic; only those survivors are tried at weight n + 1.  The
+filter is exact: equidistribution up to weight W implies it up to every lower
+weight, and weights 0 and 1 hold for every pair, since a word of length <= 1
+has no descent and no inversion.  The tables implement the same definitions
+as the statistics module and the test suite cross-checks the two routes.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ from .relations import (
     kappa_closure,
     extract_bipartition,
     divides,
+    forced_pairs,
+    natural_order,
 )
 from .statistics import (
     MajInvStatistic,
@@ -60,6 +67,7 @@ from .words import (
 
 RELATION_ENUM_CAP = 4  # single-relation sweeps walk 2**(r*r) masks
 PAIR_SWEEP_CAP = 3  # pair sweeps walk 4**(r*r) ordered pairs
+STAGE_CELL_BUDGET = 1 << 16  # word cells per sweep chunk; bounds the temporaries
 
 
 @dataclass
@@ -158,121 +166,115 @@ def _mask_table(cells: np.ndarray) -> np.ndarray:
     return tab
 
 
-def _mask_rows(r: int, mask: int) -> tuple[int, ...]:
-    full = (1 << r) - 1
-    return tuple((mask >> (x * r)) & full for x in range(r))
+def _weight_tables(r: int, n: int):
+    """Class keys and bitmask statistic tables of the words of weight n.
 
-
-def _transpose_rows(r: int, rows: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * r
-    for x in range(r):
-        row = rows[x]
-        for y in range(r):
-            if (row >> y) & 1:
-                out[y] |= 1 << x
-    return tuple(out)
-
-
-def _required_rows(r: int, rows: tuple[int, ...]) -> tuple[int, ...]:
-    """Pairs (x, z) forced into every kappa-extension: some y has x U y, not z U y."""
-    full = (1 << r) - 1
-    req = [0] * r
-    for x in range(r):
-        for z in range(r):
-            if rows[x] & ~rows[z] & full:
-                req[x] |= 1 << z
-    return tuple(req)
-
-
-def _kext_masks(
-    r: int,
-    u_rows: tuple[int, ...],
-    req_rows: tuple[int, ...],
-    s_rows: tuple[int, ...],
-    st_rows: tuple[int, ...],
-) -> bool:
-    """Kappa-extension test on row bitmasks; mirrors is_kappa_extension."""
-    for x in range(r):
-        srow = s_rows[x]
-        if u_rows[x] & ~srow:
-            return False
-        req = req_rows[x]
-        if req & ~srow:
-            return False
-        if req & st_rows[x]:
-            return False
-    return True
-
-
-def _weighted_word_tables(r: int, max_weight: int):
-    """Compositions, word keys and bitmask statistic tables up to a weight."""
-    comps = [
-        c for n in range(max_weight + 1) for c in compositions_of_weight(r, n)
-    ]
+    Words are grouped by class; ``keybase`` holds class_index * stride with a
+    stride above every maj + inv value of a weight-n word.
+    """
     letters_list: list[tuple[int, ...]] = []
     class_of: list[int] = []
-    for ci, c in enumerate(comps):
+    for ci, c in enumerate(compositions_of_weight(r, n)):
         for w in enumerate_class(c):
             letters_list.append(w.letters)
             class_of.append(ci)
-    stride = 1 << max(1, (max_weight * (max_weight - 1)).bit_length())
-    keybase = np.array([ci * stride for ci in class_of], dtype=np.int64)
+    stride = 1 << (n * (n - 1)).bit_length()
+    keybase = np.array(class_of, dtype=np.int64) * stride
     inv_cells = np.array([_pair_cells(r, ls) for ls in letters_list], dtype=np.int64)
     adj_cells = np.array([_adj_cells(r, ls) for ls in letters_list], dtype=np.int64)
-    invtab = _mask_table(inv_cells)
-    majtab = _mask_table(adj_cells)
-    return comps, letters_list, stride, keybase, invtab, majtab
+    return keybase, _mask_table(inv_cells), _mask_table(adj_cells)
+
+
+def _staged_sweep(r: int, max_weight: int, masks_of):
+    """Sweep the ordered mask pairs (X, Y) on [r], flat index X * 2**(r*r) + Y.
+
+    ``masks_of(x, y)`` maps mask arrays to the masks (A, B, T) of a
+    statistic maj'_A + inv'_B and its target inv'_T.  A pair passes when on
+    every class of weight 2..max_weight the two carry the same multiset of
+    values; only the survivors of weight n are tried at n + 1.  Returns the
+    boolean pass array over flat indices and the survivor count per weight.
+    """
+    bits = r * r
+    npairs = 1 << (2 * bits)
+    alive = None  # before weight 2, every flat index
+    survivors: dict[int, int] = {}
+    for n in range(2, max_weight + 1):
+        keybase, invtab, majtab = _weight_tables(r, n)
+        want = np.sort(invtab + keybase, axis=1)
+        count = npairs if alive is None else alive.size
+        step = max(1, STAGE_CELL_BUDGET // keybase.size)
+        kept = [np.empty(0, dtype=np.int64)]
+        for lo in range(0, count, step):
+            hi = min(lo + step, count)
+            idx = np.arange(lo, hi) if alive is None else alive[lo:hi]
+            maj, inv, target = masks_of(idx >> bits, idx & ((1 << bits) - 1))
+            got = np.sort(majtab[maj] + invtab[inv] + keybase, axis=1)
+            kept.append(idx[(got == want[target]).all(axis=1)])
+        alive = np.concatenate(kept)
+        survivors[n] = int(alive.size)
+    passed = np.zeros(npairs, dtype=bool)
+    passed[alive] = True
+    return passed, survivors
+
+
+def _kappa_extension_table(r: int) -> np.ndarray:
+    """Entry [u, s] tells whether S kappa-extends U: the test of
+    is_kappa_extension, made on masks for every S at once."""
+    nmasks = 1 << (r * r)
+    s = np.arange(nmasks)
+    table = np.empty((nmasks, nmasks), dtype=bool)
+    for u in range(nmasks):
+        forced = forced_pairs(Relation.from_mask(r, u))
+        need = u | forced.mask
+        table[u] = ((s & need) == need) & ((s & forced.transpose().mask) == 0)
+    return table
+
+
+def _pair_violations(r: int, got: np.ndarray, expected: np.ndarray, keys) -> list:
+    """One violation per flat pair index where got and expected differ, in
+    (first mask, second mask) order."""
+    second, got_key, expected_key = keys
+    bits = r * r
+    full = (1 << bits) - 1
+    return [
+        {
+            "u": Relation.from_mask(r, i >> bits).to_json_dict(),
+            second: Relation.from_mask(r, i & full).to_json_dict(),
+            got_key: bool(got[i]),
+            expected_key: bool(expected[i]),
+        }
+        for i in np.flatnonzero(got != expected).tolist()
+    ]
+
+
+def _check_pair_sweep(r: int, max_weight: int) -> None:
+    if r > PAIR_SWEEP_CAP:
+        raise ValueError(
+            f"refusing to sweep 4**{r * r} relation pairs; size is capped at {PAIR_SWEEP_CAP}"
+        )
+    if max_weight < 2:
+        raise ValueError(
+            f"max weight must be >= 2, got {max_weight}: a certificate up to "
+            "weight 1 is vacuous, since every statistic passes it"
+        )
 
 
 def verify_theorem_majinv(r: int, max_weight: int) -> Report:
     """Sweep every ordered relation pair (U, S) on [r] and confirm that
     equidistribution up to max_weight holds exactly for kappa-extensions."""
-    if r > PAIR_SWEEP_CAP:
-        raise ValueError(
-            f"refusing to sweep 4**{r * r} relation pairs; size is capped at {PAIR_SWEEP_CAP}"
-        )
+    _check_pair_sweep(r, max_weight)
     t0 = time.perf_counter()
-    comps, _, stride, keybase, invtab, majtab = _weighted_word_tables(r, max_weight)
-    nmasks = 1 << (r * r)
-    full = nmasks - 1
-    minlength = len(comps) * stride
-    targets = [
-        np.bincount(keybase + invtab[s], minlength=minlength).tobytes()
-        for s in range(nmasks)
-    ]
-    rows = [_mask_rows(r, m) for m in range(nmasks)]
-    trans = [_transpose_rows(r, rw) for rw in rows]
-    reqs = [_required_rows(r, rw) for rw in rows]
-    majkey = majtab + keybase
-
-    report = Report(checked=nmasks * nmasks)
-    kext_pairs = 0
-    equi_pairs = 0
-    for u in range(nmasks):
-        mk = majkey[u]
-        not_u = ~u & full
-        u_rows, req = rows[u], reqs[u]
-        for s in range(nmasks):
-            expected = _kext_masks(r, u_rows, req, rows[s], trans[s])
-            got = (
-                np.bincount(mk + invtab[s & not_u], minlength=minlength).tobytes()
-                == targets[s]
-            )
-            kext_pairs += expected
-            equi_pairs += got
-            if got != expected:
-                report.violations.append(
-                    {
-                        "u": Relation.from_mask(r, u).to_json_dict(),
-                        "s": Relation.from_mask(r, s).to_json_dict(),
-                        "equidistributed": got,
-                        "kappa_extension": expected,
-                    }
-                )
+    got, survivors = _staged_sweep(r, max_weight, lambda u, s: (u, s & ~u, s))
+    expected = _kappa_extension_table(r).ravel()
+    report = Report(checked=got.size)
+    report.violations = _pair_violations(
+        r, got, expected, ("s", "equidistributed", "kappa_extension")
+    )
     report.witnesses = {
-        "kappa_extension_pairs": kext_pairs,
-        "equidistributed_pairs": equi_pairs,
+        "kappa_extension_pairs": int(expected.sum()),
+        "equidistributed_pairs": int(got.sum()),
         "max_weight": max_weight,
+        "survivors_by_weight": survivors,
     }
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
@@ -282,22 +284,14 @@ def verify_classification(r: int, max_weight: int) -> Report:
     """Sweep every pair (U, V): the statistic maj'_U + inv'_V is mahonian up
     to max_weight exactly when U, V are disjoint, U join V is a total order
     and that order kappa-extends U; the count of winners must be r! * r!."""
-    if r > PAIR_SWEEP_CAP:
-        raise ValueError(
-            f"refusing to sweep 4**{r * r} relation pairs; size is capped at {PAIR_SWEEP_CAP}"
-        )
+    _check_pair_sweep(r, max_weight)
     t0 = time.perf_counter()
-    comps, _, stride, keybase, invtab, majtab = _weighted_word_tables(r, max_weight)
-    nmasks = 1 << (r * r)
-    minlength = len(comps) * stride
-    target = np.zeros(minlength, dtype=np.int64)
-    for ci, c in enumerate(comps):
-        for k, coeff in enumerate(qseries.q_multinomial(c).coeffs):
-            target[ci * stride + k] = coeff
-    target_bytes = target.tobytes()
-    majkey = majtab + keybase
+    # inv'_{natural order} is inv, whose class distributions are q-multinomial
+    natural = natural_order(r).mask
+    got, survivors = _staged_sweep(r, max_weight, lambda u, v: (u, v, natural))
 
-    predicate_pairs: set[tuple[int, int]] = set()
+    nmasks = 1 << (r * r)
+    expected = np.zeros((nmasks, nmasks), dtype=bool)
     for s in range(nmasks):
         s_rel = Relation.from_mask(r, s)
         if not is_total_order(s_rel):
@@ -305,31 +299,16 @@ def verify_classification(r: int, max_weight: int) -> Report:
         sub = s
         while True:
             if is_kappa_extension(s_rel, Relation.from_mask(r, sub)):
-                predicate_pairs.add((sub, s ^ sub))
+                expected[sub, s ^ sub] = True
             if sub == 0:
                 break
             sub = (sub - 1) & s
 
-    report = Report(checked=nmasks * nmasks)
-    mahonian_pairs = 0
-    for u in range(nmasks):
-        mk = majkey[u]
-        for v in range(nmasks):
-            got = (
-                np.bincount(mk + invtab[v], minlength=minlength).tobytes()
-                == target_bytes
-            )
-            expected = (u, v) in predicate_pairs
-            mahonian_pairs += got
-            if got != expected:
-                report.violations.append(
-                    {
-                        "u": Relation.from_mask(r, u).to_json_dict(),
-                        "v": Relation.from_mask(r, v).to_json_dict(),
-                        "mahonian": got,
-                        "classified": expected,
-                    }
-                )
+    report = Report(checked=got.size)
+    report.violations = _pair_violations(
+        r, got, expected.ravel(), ("v", "mahonian", "classified")
+    )
+    mahonian_pairs = int(got.sum())
     expected_count = math.factorial(r) ** 2
     if mahonian_pairs != expected_count:
         report.violations.append(
@@ -342,6 +321,7 @@ def verify_classification(r: int, max_weight: int) -> Report:
         "mahonian_pairs": mahonian_pairs,
         "expected_count": expected_count,
         "max_weight": max_weight,
+        "survivors_by_weight": survivors,
     }
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
@@ -554,9 +534,7 @@ def verify_psi(r: int, max_len: int) -> Report:
 
     nmasks = 1 << (r * r)
     full = nmasks - 1
-    rows = [_mask_rows(r, m) for m in range(nmasks)]
-    trans = [_transpose_rows(r, rw) for rw in rows]
-    reqs = [_required_rows(r, rw) for rw in rows]
+    kext = _kappa_extension_table(r)
 
     report = Report()
     pair_count = 0
@@ -589,9 +567,7 @@ def verify_psi(r: int, max_len: int) -> Report:
             report.violations.append(
                 {"u": u_rel.to_json_dict(), "property": "last letter moved"}
             )
-        for s in range(nmasks):
-            if not _kext_masks(r, rows[u], reqs[u], rows[s], trans[s]):
-                continue
+        for s in np.flatnonzero(kext[u]).tolist():
             pair_count += 1
             report.checked += 1
             lhs = invtab[s][image_idx]

@@ -312,26 +312,33 @@ def extract_bipartition(u: Relation) -> Bipartition:
     return Bipartition(blocks, betas)
 
 
+def _forced_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sum(1 << z for z, rz in enumerate(rows) if rx & ~rz) for rx in rows)
+
+
+def forced_pairs(u: Relation) -> Relation:
+    """Every (x, z) with x U y and not(z U y) for some y.
+
+    A kappa-extension of U must contain each forced pair and reverse none.
+    """
+    return Relation(u.size, _forced_rows(u.rows))
+
+
 def is_kappa_extension(s: Relation, u: Relation) -> bool:
-    """True iff U is contained in S and x U y, not(z U y) force x S z, not(z S x)."""
+    """True iff S contains U and its forced pairs, and reverses none of them."""
     if s.size != u.size:
         raise ValueError("alphabet size mismatch")
     if not u.issubset(s):
         return False
-    r = u.size
-    full = (1 << r) - 1
-    cols_u = [u.column(y) for y in range(1, r + 1)]
-    cols_s = [s.column(y) for y in range(1, r + 1)]
-    for x in range(r):
-        m = u.rows[x]
-        while m:
-            y = (m & -m).bit_length() - 1
-            m &= m - 1
-            zs = ~cols_u[y] & full  # every z with not(z U y)
-            if zs & ~s.rows[x]:  # some z with not(x S z)
+    srows = s.rows
+    for x, fx in enumerate(_forced_rows(u.rows)):
+        if fx & ~srows[x]:
+            return False
+        while fx:  # the forced (x, z) must not be reversed by z S x
+            z = (fx & -fx).bit_length() - 1
+            if (srows[z] >> x) & 1:
                 return False
-            if zs & cols_s[x]:  # some z with z S x
-                return False
+            fx &= fx - 1
     return True
 
 
@@ -360,19 +367,12 @@ def is_kappa_extensible(u: Relation) -> bool:
 
 
 def kappa_closure(u: Relation) -> Relation:
-    """U together with every pair (x, y) witnessed by some z: x U z, not(y U z).
+    """U together with its forced pairs.
 
     Defined for arbitrary U; it is the smallest kappa-extension exactly when
     U is kappa-extensible.
     """
-    r = u.size
-    full = (1 << r) - 1
-    rows = list(u.rows)
-    for x in range(r):
-        for y in range(r):
-            if u.rows[x] & ~u.rows[y] & full:
-                rows[x] |= 1 << y
-    return Relation(r, tuple(rows))
+    return u | forced_pairs(u)
 
 
 def order_from_ranks(ranks: Sequence[int]) -> Relation:

@@ -260,6 +260,16 @@ def test_verify_remaining_suites_run_clean(capsys):
         assert code == 0 and report["violations"] == [], argv
 
 
+def test_verify_pair_sweeps_refuse_vacuous_weights(capsys):
+    for suite in ("theorem-majinv", "classification"):
+        for weight in ("-1", "0", "1"):
+            code, out, err = run(
+                capsys, "verify", suite, "--size", "2", "--max-weight", weight
+            )
+            assert code == 1 and out == "", (suite, weight)
+            assert err.startswith("error:") and "vacuous" in err, (suite, weight)
+
+
 def test_verify_size_cap(capsys):
     code, _, err = run(capsys, "verify", "theorem-majinv", "--size", "4")
     assert code == 1 and "capped" in err

@@ -95,6 +95,10 @@ def test_theorem_majinv_small_sizes():
     assert report.checked == 256 and report.ok
     with pytest.raises(ValueError):
         verify_theorem_majinv(4, 4)
+    for sweep in (verify_theorem_majinv, verify_classification):
+        for weight in (-1, 0, 1):
+            with pytest.raises(ValueError, match="vacuous"):
+                sweep(2, weight)
 
 
 def test_sweep_agrees_with_reference_on_samples():
@@ -103,6 +107,87 @@ def test_sweep_agrees_with_reference_on_samples():
         u = Relation.from_mask(3, rng.randrange(512))
         s = Relation.from_mask(3, rng.randrange(512))
         assert verify_equidistribution(u, s, 3) == is_kappa_extension(s, u)
+
+
+def _sweep_verdicts(r, report, second, got_key, predicate):
+    """Each pair's verdict in a pair-sweep Report: the predicate, unless the
+    pair is listed as a violation."""
+    listed = {
+        (Relation.from_json_dict(v["u"]), Relation.from_json_dict(v[second])): v[
+            got_key
+        ]
+        for v in report.violations
+        if "u" in v
+    }
+    rels = list(enumerate_relations(r))
+    return {
+        (a, b): listed.get((a, b), predicate(a, b)) for a in rels for b in rels
+    }
+
+
+def _classified(u, v):
+    s = u | v
+    return (u & v) == empty_relation(u.size) and is_total_order(s) and (
+        is_kappa_extension(s, u)
+    )
+
+
+def test_staged_sweeps_match_plain_references_r2():
+    report = verify_theorem_majinv(2, 4)
+    verdicts = _sweep_verdicts(
+        2, report, "s", "equidistributed", lambda u, s: is_kappa_extension(s, u)
+    )
+    assert len(verdicts) == 256
+    for (u, s), got in verdicts.items():
+        assert got == verify_equidistribution(u, s, 4), (u, s)
+
+    report = verify_classification(2, 4)
+    verdicts = _sweep_verdicts(2, report, "v", "mahonian", _classified)
+    for (u, v), got in verdicts.items():
+        assert got == is_mahonian_up_to(MajInvStatistic(u, v), 4), (u, v)
+
+
+def test_weight_two_sweeps_r3():
+    # Weight 2 alone cannot tell most non-extensions apart: 19,683 pairs
+    # pass it and 1701 are kappa-extensions.
+    report = verify_theorem_majinv(3, 2)
+    assert len(report.violations) == 17982
+    assert report.witnesses["survivors_by_weight"] == {2: 19683}
+    rng = random.Random(2)
+    for v in rng.sample(report.violations, 300):
+        u = Relation.from_json_dict(v["u"])
+        s = Relation.from_json_dict(v["s"])
+        assert v["equidistributed"] == verify_equidistribution(u, s, 2)
+        assert v["kappa_extension"] == is_kappa_extension(s, u)
+
+    report = verify_classification(3, 2)
+    assert len(report.violations) == 29
+    assert report.violations[-1] == {"count": 64, "expected_count": 36}
+    for v in report.violations[:-1]:
+        u = Relation.from_json_dict(v["u"])
+        w = Relation.from_json_dict(v["v"])
+        assert v["mahonian"] == is_mahonian_up_to(MajInvStatistic(u, w), 2)
+        assert v["classified"] == _classified(u, w)
+
+
+def test_survivors_by_weight_r3():
+    theorem = verify_theorem_majinv(3, 5)
+    assert theorem.witnesses["survivors_by_weight"] == {
+        2: 19683, 3: 1701, 4: 1701, 5: 1701
+    }
+    classification = verify_classification(3, 5)
+    assert classification.witnesses["survivors_by_weight"] == {
+        2: 64, 3: 42, 4: 42, 5: 42
+    }
+
+
+def test_kappa_extension_table_matches_predicate_r3():
+    from majinv.mahonian import _kappa_extension_table
+
+    table = _kappa_extension_table(3)
+    rels = list(enumerate_relations(3))
+    for u in rels:
+        assert table[u.mask].tolist() == [is_kappa_extension(s, u) for s in rels]
 
 
 def test_classification_r1():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -119,6 +120,34 @@ def test_is_kappa_extension_examples():
                 assert is_kappa_extension(t, t)
     with pytest.raises(ValueError):
         is_kappa_extension(natural_order(2), natural_order(3))
+
+
+def _kappa_extension_by_definition(s, u):
+    letters = range(1, u.size + 1)
+    return u.issubset(s) and all(
+        s.contains(x, z) and not s.contains(z, x)
+        for x in letters
+        for y in letters
+        for z in letters
+        if u.contains(x, y) and not u.contains(z, y)
+    )
+
+
+def test_is_kappa_extension_matches_definition():
+    for r in (1, 2):
+        rels = list(enumerate_relations(r))
+        for u in rels:
+            for s in rels:
+                assert is_kappa_extension(s, u) == _kappa_extension_by_definition(s, u)
+    # at r = 3, every U against its closure and against seeded supersets
+    rng = random.Random(5)
+    for u in enumerate_relations(3):
+        closure = kappa_closure(u)
+        candidates = [closure] + [
+            u | Relation.from_mask(3, rng.randrange(512)) for _ in range(8)
+        ]
+        for s in candidates:
+            assert is_kappa_extension(s, u) == _kappa_extension_by_definition(s, u)
 
 
 def test_is_kappa_extensible_examples():
