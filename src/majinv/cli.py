@@ -87,6 +87,12 @@ def _parse_stat(spec: str, size: int | None, sets_json: str | None):
             sets = json.loads(sets_json)
         except json.JSONDecodeError as exc:
             raise UsageError(f"bad --sets JSON: {exc}") from exc
+        if not isinstance(sets, list) or not all(
+            isinstance(s, list)
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in s)
+            for s in sets
+        ):
+            raise UsageError("--sets must be a JSON list of integer lists")
         stat = statistics.set_maj_stat(sets)
         return stat.evaluate, stat.size, stat
     raise UsageError(f"unknown stat spec '{spec}'")

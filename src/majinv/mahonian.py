@@ -247,16 +247,20 @@ def _pair_violations(r: int, got: np.ndarray, expected: np.ndarray, keys) -> lis
     ]
 
 
-def _check_pair_sweep(r: int, max_weight: int) -> None:
-    if r > PAIR_SWEEP_CAP:
-        raise ValueError(
-            f"refusing to sweep 4**{r * r} relation pairs; size is capped at {PAIR_SWEEP_CAP}"
-        )
+def _check_max_weight(max_weight: int) -> None:
     if max_weight < 2:
         raise ValueError(
             f"max weight must be >= 2, got {max_weight}: a certificate up to "
             "weight 1 is vacuous, since every statistic passes it"
         )
+
+
+def _check_pair_sweep(r: int, max_weight: int) -> None:
+    if r > PAIR_SWEEP_CAP:
+        raise ValueError(
+            f"refusing to sweep 4**{r * r} relation pairs; size is capped at {PAIR_SWEEP_CAP}"
+        )
+    _check_max_weight(max_weight)
 
 
 def verify_theorem_majinv(r: int, max_weight: int) -> Report:
@@ -387,6 +391,7 @@ def verify_kappa_machinery(r: int) -> Report:
         raise ValueError(f"size is capped at {PAIR_SWEEP_CAP}")
     t0 = time.perf_counter()
     rels = list(enumerate_relations(r))
+    kext = _kappa_extension_table(r)
     report = Report(checked=len(rels))
     extensible_count = 0
     bipartitional_count = 0
@@ -400,7 +405,7 @@ def verify_kappa_machinery(r: int) -> Report:
         closure = kappa_closure(u)
         ext_quadruple = is_kappa_extensible(u)
         ext_closure = is_kappa_extension(closure, u)
-        extensions = [s for s in rels if is_kappa_extension(s, u)]
+        extensions = [rels[s] for s in np.flatnonzero(kext[u.mask]).tolist()]
         if not (ext_quadruple == ext_closure == bool(extensions)):
             report.violations.append(
                 {"u": u.to_json_dict(), "property": "extensibility criteria disagree"}
@@ -439,9 +444,11 @@ def verify_kappa_machinery(r: int) -> Report:
 
 def verify_product_formula(r: int, max_weight: int) -> Report:
     """Match the closed product form of the closure distribution against the
-    brute-force distribution for every kappa-extensible relation on [r]."""
+    class distribution of qseries.distribution for every kappa-extensible
+    relation on [r]."""
     if r > PAIR_SWEEP_CAP:
         raise ValueError(f"size is capped at {PAIR_SWEEP_CAP}")
+    _check_max_weight(max_weight)
     t0 = time.perf_counter()
     comps = [c for n in range(max_weight + 1) for c in compositions_of_weight(r, n)]
     report = Report()
@@ -476,6 +483,7 @@ def verify_macmahon(r: int, max_weight: int) -> Report:
     max_weight over [r]."""
     if r > RELATION_ENUM_CAP:
         raise ValueError(f"size is capped at {RELATION_ENUM_CAP}")
+    _check_max_weight(max_weight)
     t0 = time.perf_counter()
     inv = inv_stat(r)
     maj = maj_stat(r)
@@ -597,6 +605,7 @@ def verify_applications(max_weight: int) -> Report:
     at r = 3 and 4): mahonian certificates up to max_weight, the closed
     distribution of the subset statistic, and the permutation-class formula
     for the even/odd instance."""
+    _check_max_weight(max_weight)
     t0 = time.perf_counter()
     r = 4
     report = Report()

@@ -7,6 +7,19 @@ distribution on every class equals the q-multinomial coefficient
     [n; c(1), ..., c(r)]_q = [n]_q! / ([c(1)]_q! ... [c(r)]_q!),
 
 with the q-factorial [n]_q! = (1+q)(1+q+q^2) ... (1+q+...+q^(n-1)).
+
+Distribution polynomials come from one engine, a depth-first walk over the
+prefix tree of the class.  Appending the letter y to a prefix of length p
+that ends in x raises maj'_U + inv'_V by
+
+    p*[x U y] + sum over z of used_z*[z V y],
+
+with used_z the number of z's in the prefix, so each node's value is its
+parent's plus one such step: no word is built and none is re-scored.
+Enumerating the class and evaluating every word
+(``words.enumerate_class`` with ``MajInvStatistic.evaluate``) computes the
+same polynomial from the definitions; the tests keep it as the brute-force
+oracle of the walk.
 """
 
 from __future__ import annotations
@@ -17,8 +30,8 @@ from functools import lru_cache
 from typing import Iterable
 
 from .statistics import MajInvStatistic
-from .words import Composition, class_size, compositions_of_weight, enumerate_class
-from .relations import Bipartition
+from .words import Composition, class_size, compositions_of_weight
+from .relations import Bipartition, Relation
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,14 +203,69 @@ def q_multinomial(c: Composition) -> QPolynomial:
     return _q_multinomial_cached(c.counts)
 
 
+@lru_cache(maxsize=4)
+def _step_tables(u: Relation, v: Relation):
+    """Lookups of the walk: [x U y] by rows, the letters y with z V y, and
+    [y V y].  Cached, since a certificate scores one statistic on many
+    classes; every call shares the lists, so the walk only reads them."""
+    r = u.size
+    u_hit = [[(row >> y) & 1 for y in range(r)] for row in u.rows]
+    v_out = [[y for y in range(r) if (row >> y) & 1] for row in v.rows]
+    v_self = [(v.rows[y] >> y) & 1 for y in range(r)]
+    return u_hit, v_out, v_self
+
+
 def distribution(stat: MajInvStatistic, c: Composition) -> QPolynomial:
-    """Sum of q**stat(w) over the rearrangement class of c."""
+    """Sum of q**stat(w) over the rearrangement class of c.
+
+    Walks the prefix tree of the class depth first with the appending
+    recurrence of the module docstring.  A prefix with one letter kind left
+    has a single completion, a run of m letters y, whose gain is summed in
+    closed form: the recurrence applied m times.
+    """
     if stat.size != c.size:
         raise ValueError("statistic and composition alphabet sizes differ")
     n = c.weight
-    counts = [0] * (n * (n - 1) + 1 if n else 1)  # maj + inv each at most n(n-1)/2
-    for w in enumerate_class(c):
-        counts[stat.evaluate(w)] += 1
+    if n == 0:
+        return QPolynomial.one()
+    r = c.size
+    counts = [0] * (n * (n - 1) + 1)  # maj + inv each at most n(n-1)/2
+    u_hit, v_out, v_self = _step_tables(stat.maj_relation, stat.inv_relation)
+    left = list(c.counts)
+    v_gain = [0] * r  # v_gain[y] = sum over z of used_z*[z V y]
+    alphabet = [y for y in range(r) if left[y]]
+
+    def walk(p: int, x: int, value: int, kinds: int) -> None:
+        # p letters placed, the last one x (any letter at p = 0, where the
+        # maj step p*[x U y] is 0); kinds letter kinds still to place
+        ux = u_hit[x]
+        if kinds == 1:
+            for y in alphabet:
+                m = left[y]
+                if m:
+                    runs = m * (m - 1) // 2
+                    gain = (p if ux[y] else 0) + m * v_gain[y]
+                    if u_hit[y][y]:
+                        gain += (m - 1) * p + runs
+                    if v_self[y]:
+                        gain += runs
+                    counts[value + gain] += 1
+                    return
+        for y in alphabet:
+            m = left[y]
+            if m:
+                left[y] = m - 1
+                step = value + v_gain[y] + (p if ux[y] else 0)
+                outs = v_out[y]
+                for t in outs:
+                    v_gain[t] += 1
+                walk(p + 1, y, step, kinds - 1 if m == 1 else kinds)
+                for t in outs:
+                    v_gain[t] -= 1
+                left[y] = m
+
+    walk(0, 0, 0, len(alphabet))
+    del walk  # walk refers to itself; unbinding frees it now, not at the next GC
     return QPolynomial.from_coeffs(counts)
 
 

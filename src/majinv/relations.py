@@ -118,9 +118,13 @@ class Relation:
         try:
             r = int(data["size"])
             raw = data["pairs"]
+            if not isinstance(raw, list) or not all(
+                isinstance(p, list) and len(p) == 2 for p in raw
+            ):
+                raise TypeError('"pairs" must be a list of [x, y] lists')
+            pairs = [(int(x), int(y)) for x, y in raw]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed relation JSON: {exc}") from exc
-        pairs = [(int(x), int(y)) for x, y in raw]
         if len(set(pairs)) != len(pairs):
             raise ValueError("duplicate pairs in relation JSON")
         return cls.from_pairs(r, pairs)

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from majinv.cli import main
 
@@ -286,3 +288,95 @@ def test_enumerate(capsys, relation_files):
     assert code == 0 and len(json.loads(out)["statistics"]) == 6
     code, _, err = run(capsys, "enumerate", "--order", relation_files["notorder"])
     assert code == 1 and "total order" in err
+
+
+def test_verify_distribution_suites_refuse_vacuous_weights(capsys):
+    for suite in ("macmahon", "product-formula", "applications"):
+        for weight in ("-1", "0", "1"):
+            code, out, err = run(
+                capsys, "verify", suite, "--size", "2", "--max-weight", weight
+            )
+            assert code == 1 and out == "", (suite, weight)
+            assert err.startswith("error:") and "vacuous" in err, (suite, weight)
+
+
+def test_malformed_relation_and_sets_are_usage_errors(capsys, tmp_path):
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps({"size": 2, "pairs": [[2, 1]]}))
+    for i, pairs in enumerate(([1, 2], None, [[1, None]], [[1, 2, 3]], "12")):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps({"size": 3, "pairs": pairs}))
+        for argv in (
+            ["check", "transitive", "--relation", str(bad)],
+            ["distribution", "--stat", f"pair:{ok}:{bad}", "--composition", "1,1"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "", (pairs, argv)
+            assert err.startswith("error:"), (pairs, argv)
+    for sets in ("[1,2]", "null", '[[1],"2"]', "[[1.5]]", "[[true]]", '{"a": [1]}'):
+        code, out, err = run(
+            capsys, "eval", "--stat", "setmaj", "--sets", sets, "--word", "1"
+        )
+        assert code == 1 and out == "", sets
+        assert err.startswith("error:"), sets
+
+
+json_leaf = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+)
+json_value = st.recursive(
+    json_leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["size", "pairs", "x"]), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+# Sizes stay small: nothing bounds a relation's size yet, and loading one is
+# quadratic in it, so a huge size is a hang rather than a shape error.
+pair_entry = st.one_of(st.integers(min_value=-1, max_value=5), json_leaf)
+relation_json = st.one_of(
+    json_value,
+    st.fixed_dictionaries(
+        {
+            "size": st.one_of(st.integers(min_value=-1, max_value=4), json_value),
+            "pairs": st.one_of(
+                st.lists(st.lists(pair_entry, max_size=3), max_size=4), json_value
+            ),
+        }
+    ),
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    data=relation_json,
+    sets=st.one_of(json_value.map(json.dumps), st.text(max_size=8)),
+)
+def test_fuzzed_relation_json_and_sets_never_trace_back(capsys, tmp_path, data, sets):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(data))
+    rel = str(path)
+    for argv in (
+        ["check", "transitive", "--relation", rel],
+        ["check", "kappa-extension", "--u", rel, "--s", rel],
+        ["transform", "--relation", rel, "--word", "1 2"],
+        ["distribution", "--stat", f"pair:{rel}:{rel}", "--composition", "1,1"],
+        ["eval", "--stat", "setmaj", "--sets", sets, "--word", "1"],
+        ["distribution", "--stat", "setmaj", "--sets", sets, "--composition", "1,1"],
+    ):
+        # an exception escaping main fails the test; argparse exits with 2
+        try:
+            code, _, err = run(capsys, *argv)
+        except SystemExit as exc:
+            code, err = exc.code, capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv

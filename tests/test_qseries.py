@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -23,7 +25,7 @@ from majinv import (
     q_integer,
     q_multinomial,
 )
-from majinv.words import compositions_of_weight
+from majinv.words import compositions_of_weight, enumerate_class
 
 
 def poly(*coeffs):
@@ -185,6 +187,51 @@ def test_product_formula_reflexive_block_matches_brute_force():
     for n in range(5):
         for c in compositions_of_weight(3, n):
             assert bipartitional_product_formula(c, bip) == distribution(stat, c)
+
+
+def _brute_force(stat, c):
+    # the definitions word by word: the oracle of the prefix-tree walk
+    values = Counter(stat.evaluate(w) for w in enumerate_class(c))
+    return QPolynomial.from_coeffs(values.get(k, 0) for k in range(max(values) + 1))
+
+
+def _assert_walk_matches_oracle(r, max_weight, mask_pairs):
+    comps = [c for n in range(max_weight + 1) for c in compositions_of_weight(r, n)]
+    for u, v in mask_pairs:
+        stat = MajInvStatistic(Relation.from_mask(r, u), Relation.from_mask(r, v))
+        for c in comps:
+            assert distribution(stat, c) == _brute_force(stat, c), (u, v, c.counts)
+
+
+def test_distribution_matches_brute_force_exhaustively_small():
+    # every (U, V) pair at r <= 2 on every class of weight <= 6
+    for r in (1, 2):
+        masks = range(1 << (r * r))
+        _assert_walk_matches_oracle(r, 6, [(u, v) for u in masks for v in masks])
+
+
+def test_distribution_matches_brute_force_sampled():
+    rng = random.Random(20081)
+    for r, max_weight, samples in ((3, 5, 300), (4, 4, 50)):
+        top = 1 << (r * r)
+        pairs = [(rng.randrange(top), rng.randrange(top)) for _ in range(samples)]
+        _assert_walk_matches_oracle(r, max_weight, pairs)
+
+
+def test_distribution_edge_classes():
+    # n = 0 is the constant 1, whatever the statistic; letters with count 0
+    # take no part; the alphabet sizes must agree
+    full = MajInvStatistic(Relation.from_mask(3, 511), Relation.from_mask(3, 511))
+    assert distribution(full, Composition((0, 0, 0))) == QPolynomial.one()
+    for c in (Composition((2, 0, 3)), Composition((0, 4, 0)), Composition((0, 1, 2))):
+        assert distribution(full, c) == _brute_force(full, c)
+        assert distribution(full, c)(1) == class_size(c)
+    # a single letter kind scores binomial(n, 2) twice, maj and inv alike
+    assert distribution(full, Composition((0, 0, 4))) == QPolynomial.monomial(12)
+    with pytest.raises(ValueError):
+        distribution(full, Composition((1, 1)))
+    with pytest.raises(ValueError):
+        distribution(full, Composition((0, 0, 0, 0)))
 
 
 coeffs_st = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6)
