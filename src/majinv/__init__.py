@@ -8,12 +8,12 @@ that govern mahonian maj-inv statistics.
 """
 
 from .words import (
-    Alphabet,
     Composition,
     Word,
     class_size,
     composition_of,
     compositions_of_weight,
+    compositions_up_to,
     enumerate_class,
     words_of_length,
 )

@@ -16,8 +16,7 @@ import argparse
 import json
 import sys
 
-from . import mahonian, qseries, statistics, transform
-from .relations import GMap, INF, Relation, is_bipartitional, extract_bipartition
+from . import mahonian, qseries, relations, statistics, transform
 from .words import Composition, Word
 
 
@@ -33,43 +32,40 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_relation(path: str) -> Relation:
-    return Relation.from_json_dict(_load_json(path))
+def _load_relation(path: str) -> relations.Relation:
+    return relations.Relation.from_json_dict(_load_json(path))
 
 
-def _parse_gmap(f_text: str, g_text: str) -> GMap:
+def _parse_gmap(f_text: str, g_text: str) -> relations.GMap:
     f = tuple(int(p) for p in f_text.split())
     g: list[int | float] = []
     for part in g_text.split(","):
         part = part.strip()
-        g.append(INF if part == "inf" else int(part))
-    return GMap(f, tuple(g))
+        g.append(relations.INF if part == "inf" else int(part))
+    return relations.GMap(f, tuple(g))
 
 
-def _parse_stat(spec: str, size: int | None, sets_json: str | None):
-    """Return (evaluate, size, stat); stat is the MajInvStatistic behind the
-    requested statistic name."""
+def _parse_stat(
+    spec: str, size: int | None, sets_json: str | None
+) -> statistics.MajInvStatistic:
+    """The MajInvStatistic behind the requested statistic name."""
     if spec == "inv" or spec == "maj" or spec.startswith("kmaj:"):
         if size is None:
             raise UsageError(f"--size is required for stat '{spec}'")
         if spec == "inv":
-            stat = statistics.inv_stat(size)
-        elif spec == "maj":
-            stat = statistics.maj_stat(size)
-        else:
-            try:
-                k = int(spec.split(":", 1)[1])
-            except ValueError as exc:
-                raise UsageError(f"bad kmaj spec '{spec}'") from exc
-            stat = statistics.k_maj_stat(size, k)
-        return stat.evaluate, size, stat
+            return statistics.inv_stat(size)
+        if spec == "maj":
+            return statistics.maj_stat(size)
+        try:
+            k = int(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise UsageError(f"bad kmaj spec '{spec}'") from exc
+        return statistics.k_maj_stat(size, k)
     if spec.startswith("fg:"):
         parts = spec.split(":")
         if len(parts) != 3:
             raise UsageError("fg spec needs 'fg:<f letters>:<g values>'")
-        m = _parse_gmap(parts[1], parts[2])
-        # direct formula for evaluation; the relation pair serves distributions
-        return (lambda w: statistics.stat_fg(m, w)), m.size, statistics.gmap_stat(m)
+        return statistics.gmap_stat(_parse_gmap(parts[1], parts[2]))
     if spec.startswith("pair:"):
         parts = spec.split(":")
         if len(parts) != 3:
@@ -78,8 +74,7 @@ def _parse_stat(spec: str, size: int | None, sets_json: str | None):
         v = _load_relation(parts[2])
         if u.size != v.size:
             raise UsageError("relation files use different alphabet sizes")
-        stat = statistics.MajInvStatistic(u, v)
-        return stat.evaluate, stat.size, stat
+        return statistics.MajInvStatistic(u, v)
     if spec == "setmaj":
         if sets_json is None:
             raise UsageError("--sets is required for stat 'setmaj'")
@@ -87,23 +82,19 @@ def _parse_stat(spec: str, size: int | None, sets_json: str | None):
             sets = json.loads(sets_json)
         except json.JSONDecodeError as exc:
             raise UsageError(f"bad --sets JSON: {exc}") from exc
-        if not isinstance(sets, list) or not all(
-            isinstance(s, list)
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in s)
-            for s in sets
-        ):
+        if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
             raise UsageError("--sets must be a JSON list of integer lists")
-        stat = statistics.set_maj_stat(sets)
-        return stat.evaluate, stat.size, stat
+        return statistics.set_maj_stat(
+            [[relations.json_int(v, "--sets entry") for v in s] for s in sets]
+        )
     raise UsageError(f"unknown stat spec '{spec}'")
 
 
 def _cmd_eval(args) -> int:
-    evaluate, size, _ = _parse_stat(args.stat, args.size, args.sets)
-    if args.size is not None and args.size != size:
-        raise UsageError(f"--size {args.size} conflicts with stat alphabet {size}")
-    word = Word.parse(args.word, size)
-    value = evaluate(word)
+    stat = _parse_stat(args.stat, args.size, args.sets)
+    if args.size is not None and args.size != stat.size:
+        raise UsageError(f"--size {args.size} conflicts with stat alphabet {stat.size}")
+    value = stat.evaluate(Word.parse(args.word, stat.size))
     print(json.dumps({"value": value}) if args.json else value)
     return 0
 
@@ -118,30 +109,33 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    from . import relations as rel_mod
+# check kind -> the deciding function of the relations module, looked up by
+# name at call time so that a wrapper installed on the module is seen
+CHECK_KINDS = {
+    "transitive": "is_transitive",
+    "total-order": "is_total_order",
+    "bipartitional": "is_bipartitional",
+    "kappa-extensible": "is_kappa_extensible",
+    "kappa-extension": "is_kappa_extension",
+}
 
+
+def _cmd_check(args) -> int:
+    decide = getattr(relations, CHECK_KINDS[args.kind])
+    extra = {}
     if args.kind == "kappa-extension":
         if not args.u or not args.s:
             raise UsageError("check kappa-extension needs --u and --s")
         s = _load_relation(args.s)
         u = _load_relation(args.u)
-        verdict = rel_mod.is_kappa_extension(s, u)
-        extra = {}
+        verdict = decide(s, u)
     else:
         if not args.relation:
             raise UsageError(f"check {args.kind} needs --relation")
         rel = _load_relation(args.relation)
-        kinds = {
-            "transitive": rel_mod.is_transitive,
-            "total-order": rel_mod.is_total_order,
-            "bipartitional": is_bipartitional,
-            "kappa-extensible": rel_mod.is_kappa_extensible,
-        }
-        verdict = kinds[args.kind](rel)
-        extra = {}
+        verdict = decide(rel)
         if args.kind == "bipartitional" and verdict:
-            extra["bipartition"] = extract_bipartition(rel).to_json_dict()
+            extra["bipartition"] = relations.extract_bipartition(rel).to_json_dict()
     if args.json:
         print(json.dumps({"verdict": verdict, **extra}))
     else:
@@ -153,10 +147,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_distribution(args) -> int:
     comp = Composition.parse(args.composition)
-    _, size, stat = _parse_stat(args.stat, args.size or comp.size, args.sets)
-    if size != comp.size:
+    stat = _parse_stat(args.stat, args.size or comp.size, args.sets)
+    if stat.size != comp.size:
         raise UsageError(
-            f"stat alphabet [{size}] does not match composition over [{comp.size}]"
+            f"stat alphabet [{stat.size}] does not match composition over [{comp.size}]"
         )
     poly = qseries.distribution(stat, comp)
     if args.json:
@@ -167,40 +161,34 @@ def _cmd_distribution(args) -> int:
     return 0
 
 
+VERIFY_SUITES = {
+    "macmahon": lambda a: mahonian.verify_macmahon(a.size, a.max_weight),
+    "theorem-majinv": lambda a: mahonian.verify_theorem_majinv(a.size, a.max_weight),
+    "classification": lambda a: mahonian.verify_classification(a.size, a.max_weight),
+    "distinctness": lambda a: mahonian.verify_distinctness(a.size, a.max_len),
+    "closure": lambda a: mahonian.verify_kappa_machinery(a.size),
+    "product-formula": lambda a: mahonian.verify_product_formula(a.size, a.max_weight),
+    "applications": lambda a: mahonian.verify_applications(a.max_weight),
+}
+
+
 def _cmd_verify(args) -> int:
-    suites = {
-        "macmahon": lambda: mahonian.verify_macmahon(args.size, args.max_weight),
-        "theorem-majinv": lambda: mahonian.verify_theorem_majinv(
-            args.size, args.max_weight
-        ),
-        "classification": lambda: mahonian.verify_classification(
-            args.size, args.max_weight
-        ),
-        "distinctness": lambda: mahonian.verify_distinctness(args.size, args.max_len),
-        "closure": lambda: mahonian.verify_kappa_machinery(args.size),
-        "product-formula": lambda: mahonian.verify_product_formula(
-            args.size, args.max_weight
-        ),
-        "applications": lambda: mahonian.verify_applications(args.max_weight),
-    }
-    report = suites[args.suite]()
+    report = VERIFY_SUITES[args.suite](args)
     print(json.dumps(report.to_json_dict(), indent=2))
     return 0 if report.ok else 2
 
 
 def _cmd_enumerate(args) -> int:
-    from .relations import relation_to_gmap
-
     order = _load_relation(args.order)
     entries = []
     for stat in mahonian.enumerate_mahonian_stats(order):
-        m = relation_to_gmap(stat.maj_relation, order)
+        m = relations.relation_to_gmap(stat.maj_relation, order)
         entries.append(
             {
                 "u": stat.maj_relation.to_json_dict(),
                 "v": stat.inv_relation.to_json_dict(),
                 "f": list(m.f),
-                "g": ["inf" if gy == INF else gy for gy in m.g],
+                "g": ["inf" if gy == relations.INF else gy for gy in m.g],
             }
         )
     if args.json:
@@ -236,16 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("check", help="decide a relation property")
-    p.add_argument(
-        "kind",
-        choices=[
-            "transitive",
-            "total-order",
-            "bipartitional",
-            "kappa-extensible",
-            "kappa-extension",
-        ],
-    )
+    p.add_argument("kind", choices=list(CHECK_KINDS))
     p.add_argument("--relation")
     p.add_argument("--u")
     p.add_argument("--s")
@@ -261,18 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_distribution)
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
-    p.add_argument(
-        "suite",
-        choices=[
-            "macmahon",
-            "theorem-majinv",
-            "classification",
-            "distinctness",
-            "closure",
-            "product-formula",
-            "applications",
-        ],
-    )
+    p.add_argument("suite", choices=list(VERIFY_SUITES))
     p.add_argument("--size", type=int, default=3)
     p.add_argument("--max-weight", type=int, default=4)
     p.add_argument("--max-len", type=int, default=3)

@@ -18,6 +18,7 @@ as the statistics module and the test suite cross-checks the two routes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -61,6 +62,7 @@ from .words import (
     class_size,
     composition_of,
     compositions_of_weight,
+    compositions_up_to,
     enumerate_class,
     words_of_length,
 )
@@ -68,6 +70,7 @@ from .words import (
 RELATION_ENUM_CAP = 4  # single-relation sweeps walk 2**(r*r) masks
 PAIR_SWEEP_CAP = 3  # pair sweeps walk 4**(r*r) ordered pairs
 STAGE_CELL_BUDGET = 1 << 16  # word cells per sweep chunk; bounds the temporaries
+TABLE_BYTE_BUDGET = 1 << 30  # bitmask tables held at once, well under the RAM
 
 
 @dataclass
@@ -92,12 +95,27 @@ class Report:
         }
 
 
+def _stopwatch(verify):
+    """Stamp the wall time of a verifier into its Report's elapsed_ms."""
+
+    @functools.wraps(verify)
+    def timed(*args) -> Report:
+        t0 = time.perf_counter()
+        report = verify(*args)
+        report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
+        return report
+
+    return timed
+
+
+def _check_size(r: int, cap: int) -> None:
+    if r > cap:
+        raise ValueError(f"refusing alphabet size {r}: size is capped at {cap}")
+
+
 def enumerate_relations(r: int):
     """All 2**(r*r) relations on [r] in increasing bitmask order."""
-    if r > RELATION_ENUM_CAP:
-        raise ValueError(
-            f"refusing to enumerate 2**{r * r} relations; size is capped at {RELATION_ENUM_CAP}"
-        )
+    _check_size(r, RELATION_ENUM_CAP)
     for mask in range(1 << (r * r)):
         yield Relation.from_mask(r, mask)
 
@@ -125,10 +143,9 @@ def verify_equidistribution(u: Relation, s: Relation, max_weight: int) -> bool:
         raise ValueError("alphabet size mismatch")
     stat = MajInvStatistic(u, s - u)
     ref = MajInvStatistic(empty_relation(s.size), s)
-    for n in range(max_weight + 1):
-        for c in compositions_of_weight(s.size, n):
-            if qseries.distribution(stat, c) != qseries.distribution(ref, c):
-                return False
+    for c in compositions_up_to(s.size, max_weight):
+        if qseries.distribution(stat, c) != qseries.distribution(ref, c):
+            return False
     return True
 
 
@@ -166,6 +183,31 @@ def _mask_table(cells: np.ndarray) -> np.ndarray:
     return tab
 
 
+def _check_table_bytes(r: int, lengths: range, tables: int) -> None:
+    """Refuse before allocating ``tables`` mask tables with 2**(r*r) rows and
+    one int64 column per word over [r] whose length is in ``lengths``, when
+    together they would take more than TABLE_BYTE_BUDGET bytes."""
+    words_allowed = TABLE_BYTE_BUDGET // (tables * (1 << (r * r)) * 8)
+    nwords = 0
+    for n in lengths:
+        nwords += r ** min(n, 64)  # for r >= 2, r**64 words exceed any budget
+        if nwords > words_allowed:
+            raise ValueError(
+                f"refusing to build {tables} bitmask tables over {nwords:,} or more "
+                f"words: they exceed the budget of {TABLE_BYTE_BUDGET:,} bytes"
+            )
+
+
+def _stat_tables(r: int, letters_list: list[tuple[int, ...]]):
+    """The inv' and maj' mask tables of the words: row ``mask`` holds
+    inv'_mask (resp. maj'_mask) of every word.  Each cell array is dropped
+    once its table is built."""
+    return tuple(
+        _mask_table(np.array([cells(r, ls) for ls in letters_list], dtype=np.int64))
+        for cells in (_pair_cells, _adj_cells)
+    )
+
+
 def _weight_tables(r: int, n: int):
     """Class keys and bitmask statistic tables of the words of weight n.
 
@@ -180,9 +222,7 @@ def _weight_tables(r: int, n: int):
             class_of.append(ci)
     stride = 1 << (n * (n - 1)).bit_length()
     keybase = np.array(class_of, dtype=np.int64) * stride
-    inv_cells = np.array([_pair_cells(r, ls) for ls in letters_list], dtype=np.int64)
-    adj_cells = np.array([_adj_cells(r, ls) for ls in letters_list], dtype=np.int64)
-    return keybase, _mask_table(inv_cells), _mask_table(adj_cells)
+    return (keybase, *_stat_tables(r, letters_list))
 
 
 def _staged_sweep(r: int, max_weight: int, masks_of):
@@ -194,6 +234,8 @@ def _staged_sweep(r: int, max_weight: int, masks_of):
     values; only the survivors of weight n are tried at n + 1.  Returns the
     boolean pass array over flat indices and the survivor count per weight.
     """
+    # the inv', maj' and sorted target tables of the last weight are held at once
+    _check_table_bytes(r, range(max_weight, max_weight + 1), 3)
     bits = r * r
     npairs = 1 << (2 * bits)
     alive = None  # before weight 2, every flat index
@@ -256,18 +298,15 @@ def _check_max_weight(max_weight: int) -> None:
 
 
 def _check_pair_sweep(r: int, max_weight: int) -> None:
-    if r > PAIR_SWEEP_CAP:
-        raise ValueError(
-            f"refusing to sweep 4**{r * r} relation pairs; size is capped at {PAIR_SWEEP_CAP}"
-        )
+    _check_size(r, PAIR_SWEEP_CAP)
     _check_max_weight(max_weight)
 
 
+@_stopwatch
 def verify_theorem_majinv(r: int, max_weight: int) -> Report:
     """Sweep every ordered relation pair (U, S) on [r] and confirm that
     equidistribution up to max_weight holds exactly for kappa-extensions."""
     _check_pair_sweep(r, max_weight)
-    t0 = time.perf_counter()
     got, survivors = _staged_sweep(r, max_weight, lambda u, s: (u, s & ~u, s))
     expected = _kappa_extension_table(r).ravel()
     report = Report(checked=got.size)
@@ -280,16 +319,15 @@ def verify_theorem_majinv(r: int, max_weight: int) -> Report:
         "max_weight": max_weight,
         "survivors_by_weight": survivors,
     }
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
 
 
+@_stopwatch
 def verify_classification(r: int, max_weight: int) -> Report:
     """Sweep every pair (U, V): the statistic maj'_U + inv'_V is mahonian up
     to max_weight exactly when U, V are disjoint, U join V is a total order
     and that order kappa-extends U; the count of winners must be r! * r!."""
     _check_pair_sweep(r, max_weight)
-    t0 = time.perf_counter()
     # inv'_{natural order} is inv, whose class distributions are q-multinomial
     natural = natural_order(r).mask
     got, survivors = _staged_sweep(r, max_weight, lambda u, v: (u, v, natural))
@@ -327,16 +365,14 @@ def verify_classification(r: int, max_weight: int) -> Report:
         "max_weight": max_weight,
         "survivors_by_weight": survivors,
     }
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
 
 
+@_stopwatch
 def verify_distinctness(r: int, max_len: int) -> Report:
     """Separate every pair of classified mahonian statistics by a word of
     length <= max_len; unseparated pairs are reported as violations."""
-    if r > PAIR_SWEEP_CAP:
-        raise ValueError(f"size is capped at {PAIR_SWEEP_CAP}")
-    t0 = time.perf_counter()
+    _check_size(r, PAIR_SWEEP_CAP)
     stats: list[MajInvStatistic] = []
     for s_mask in range(1 << (r * r)):
         s_rel = Relation.from_mask(r, s_mask)
@@ -364,7 +400,6 @@ def verify_distinctness(r: int, max_len: int) -> Report:
         "statistics": [_stat_json(st) for st in stats],
         "first_separators": separators,
     }
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
 
 
@@ -375,6 +410,7 @@ def _stat_json(stat: MajInvStatistic) -> dict:
     }
 
 
+@_stopwatch
 def verify_kappa_machinery(r: int) -> Report:
     """Exhaustively confirm, on all relations on [r]:
 
@@ -387,9 +423,7 @@ def verify_kappa_machinery(r: int) -> Report:
     The chain {(1,2),(2,3)} and the divisibility relation on [9] are also
     checked to be rejected.
     """
-    if r > PAIR_SWEEP_CAP:
-        raise ValueError(f"size is capped at {PAIR_SWEEP_CAP}")
-    t0 = time.perf_counter()
+    _check_size(r, PAIR_SWEEP_CAP)
     rels = list(enumerate_relations(r))
     kext = _kappa_extension_table(r)
     report = Report(checked=len(rels))
@@ -438,19 +472,17 @@ def verify_kappa_machinery(r: int) -> Report:
         "kappa_extensible": extensible_count,
         "bipartitional": bipartitional_count,
     }
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
 
 
+@_stopwatch
 def verify_product_formula(r: int, max_weight: int) -> Report:
     """Match the closed product form of the closure distribution against the
     class distribution of qseries.distribution for every kappa-extensible
     relation on [r]."""
-    if r > PAIR_SWEEP_CAP:
-        raise ValueError(f"size is capped at {PAIR_SWEEP_CAP}")
+    _check_size(r, PAIR_SWEEP_CAP)
     _check_max_weight(max_weight)
-    t0 = time.perf_counter()
-    comps = [c for n in range(max_weight + 1) for c in compositions_of_weight(r, n)]
+    comps = compositions_up_to(r, max_weight)
     report = Report()
     extensible = 0
     for u in enumerate_relations(r):
@@ -474,40 +506,37 @@ def verify_product_formula(r: int, max_weight: int) -> Report:
                     }
                 )
     report.witnesses = {"kappa_extensible": extensible, "max_weight": max_weight}
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
 
 
+@_stopwatch
 def verify_macmahon(r: int, max_weight: int) -> Report:
     """Check dist(inv) = dist(maj) = q-multinomial on every class up to
     max_weight over [r]."""
-    if r > RELATION_ENUM_CAP:
-        raise ValueError(f"size is capped at {RELATION_ENUM_CAP}")
+    _check_size(r, RELATION_ENUM_CAP)
     _check_max_weight(max_weight)
-    t0 = time.perf_counter()
     inv = inv_stat(r)
     maj = maj_stat(r)
     report = Report()
-    for n in range(max_weight + 1):
-        for c in compositions_of_weight(r, n):
-            report.checked += 1
-            d_inv = qseries.distribution(inv, c)
-            d_maj = qseries.distribution(maj, c)
-            qm = qseries.q_multinomial(c)
-            if not (d_inv == d_maj == qm):
-                report.violations.append(
-                    {
-                        "composition": c.text(),
-                        "inv": d_inv.to_json_dict(),
-                        "maj": d_maj.to_json_dict(),
-                        "q_multinomial": qm.to_json_dict(),
-                    }
-                )
+    for c in compositions_up_to(r, max_weight):
+        report.checked += 1
+        d_inv = qseries.distribution(inv, c)
+        d_maj = qseries.distribution(maj, c)
+        qm = qseries.q_multinomial(c)
+        if not (d_inv == d_maj == qm):
+            report.violations.append(
+                {
+                    "composition": c.text(),
+                    "inv": d_inv.to_json_dict(),
+                    "maj": d_maj.to_json_dict(),
+                    "q_multinomial": qm.to_json_dict(),
+                }
+            )
     report.witnesses = {"max_weight": max_weight}
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
 
 
+@_stopwatch
 def verify_psi(r: int, max_len: int) -> Report:
     """For every kappa-extensible U on [r] and every word of length <= max_len:
     the transformation permutes each rearrangement class, fixes the last
@@ -517,9 +546,8 @@ def verify_psi(r: int, max_len: int) -> Report:
     Images are built by the same letter-by-letter recursion as psi, applied
     incrementally along the prefix tree of words.
     """
-    if r > PAIR_SWEEP_CAP:
-        raise ValueError(f"size is capped at {PAIR_SWEEP_CAP}")
-    t0 = time.perf_counter()
+    _check_size(r, PAIR_SWEEP_CAP)
+    _check_table_bytes(r, range(max_len + 1), 2)
     letters_list: list[tuple[int, ...]] = [()]
     for n in range(1, max_len + 1):
         letters_list.extend(
@@ -535,10 +563,7 @@ def verify_psi(r: int, max_len: int) -> Report:
         dtype=np.int64,
     )
     last = np.array([ls[-1] if ls else 0 for ls in letters_list], dtype=np.int64)
-    inv_cells = np.array([_pair_cells(r, ls) for ls in letters_list], dtype=np.int64)
-    adj_cells = np.array([_adj_cells(r, ls) for ls in letters_list], dtype=np.int64)
-    invtab = _mask_table(inv_cells)
-    majtab = _mask_table(adj_cells)
+    invtab, majtab = _stat_tables(r, letters_list)
 
     nmasks = 1 << (r * r)
     full = nmasks - 1
@@ -596,17 +621,16 @@ def verify_psi(r: int, max_len: int) -> Report:
         "words": len(letters_list),
         "max_len": max_len,
     }
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
 
 
+@_stopwatch
 def verify_applications(max_weight: int) -> Report:
     """Check the named statistic families at r = 4 (and the parity statistic
     at r = 3 and 4): mahonian certificates up to max_weight, the closed
     distribution of the subset statistic, and the permutation-class formula
     for the even/odd instance."""
     _check_max_weight(max_weight)
-    t0 = time.perf_counter()
     r = 4
     report = Report()
     letters = list(range(1, r + 1))
@@ -657,9 +681,7 @@ def verify_applications(max_weight: int) -> Report:
                 b=sorted(b),
             )
 
-    comps = [
-        c for n in range(max_weight + 1) for c in compositions_of_weight(r, n)
-    ]
+    comps = compositions_up_to(r, max_weight)
     for a in subsets:
         complement = [x for x in letters if x not in a]
         expected_by_comp = {}
@@ -694,5 +716,4 @@ def verify_applications(max_weight: int) -> Report:
         check("parity-permutations", got == expected, r=size)
 
     report.witnesses = {"alphabet": r, "max_weight": max_weight}
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report

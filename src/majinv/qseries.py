@@ -30,8 +30,8 @@ from functools import lru_cache
 from typing import Iterable
 
 from .statistics import MajInvStatistic
-from .words import Composition, class_size, compositions_of_weight
-from .relations import Bipartition, Relation
+from .words import Composition, class_size, compositions_up_to
+from .relations import Bipartition, Relation, json_int
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,7 +166,7 @@ class QPolynomial:
     @classmethod
     def from_json_dict(cls, data: dict) -> "QPolynomial":
         try:
-            return cls.from_coeffs(int(c) for c in data["coeffs"])
+            return cls.from_coeffs(json_int(c, "coefficient") for c in data["coeffs"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from exc
 
@@ -276,11 +276,9 @@ def is_mahonian_up_to(stat: MajInvStatistic, max_weight: int) -> bool:
     """
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
-    r = stat.size
-    for n in range(max_weight + 1):
-        for c in compositions_of_weight(r, n):
-            if distribution(stat, c) != q_multinomial(c):
-                return False
+    for c in compositions_up_to(stat.size, max_weight):
+        if distribution(stat, c) != q_multinomial(c):
+            return False
     return True
 
 

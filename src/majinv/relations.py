@@ -18,6 +18,15 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 INF = math.inf  # g-map value larger than every letter
+JSON_SIZE_CAP = 256  # largest alphabet a relation file may declare
+
+
+def json_int(value, what: str) -> int:
+    """``value`` when it is a JSON integer; bools and floats such as 2.9 or
+    2.0 raise ValueError instead of being coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,9 +41,8 @@ class Relation:
             raise ValueError(f"alphabet size must be >= 1, got {self.size}")
         if len(self.rows) != self.size:
             raise ValueError("row count does not match alphabet size")
-        full = (1 << self.size) - 1
         for row in self.rows:
-            if row & ~full:
+            if row >> self.size:  # a set bit at index >= size (or row < 0)
                 raise ValueError("row bitmask exceeds alphabet size")
 
     @classmethod
@@ -116,15 +124,17 @@ class Relation:
     def from_json_dict(cls, data: dict) -> "Relation":
         """Load the {"size": r, "pairs": [[x,y],...]} form; duplicates rejected."""
         try:
-            r = int(data["size"])
+            r = json_int(data["size"], "relation size")
             raw = data["pairs"]
             if not isinstance(raw, list) or not all(
                 isinstance(p, list) and len(p) == 2 for p in raw
             ):
                 raise TypeError('"pairs" must be a list of [x, y] lists')
-            pairs = [(int(x), int(y)) for x, y in raw]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed relation JSON: {exc}") from exc
+        if r > JSON_SIZE_CAP:
+            raise ValueError(f"relation size {r} is capped at {JSON_SIZE_CAP}")
+        pairs = [tuple(json_int(v, "pair letter") for v in p) for p in raw]
         if len(set(pairs)) != len(pairs):
             raise ValueError("duplicate pairs in relation JSON")
         return cls.from_pairs(r, pairs)
@@ -169,8 +179,11 @@ class Bipartition:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Bipartition":
         try:
-            blocks = tuple(tuple(sorted(int(x) for x in b)) for b in data["blocks"])
-            betas = tuple(int(b) for b in data["betas"])
+            blocks = tuple(
+                tuple(sorted(json_int(x, "block letter") for x in b))
+                for b in data["blocks"]
+            )
+            betas = tuple(json_int(b, "beta bit") for b in data["betas"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed bipartition JSON: {exc}") from exc
         return cls(blocks, betas)

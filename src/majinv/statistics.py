@@ -30,17 +30,12 @@ from .relations import (
     s_prime_ab,
     v_k,
 )
-from .words import Word
-
-
-def _check_letters(u: Relation, w: Word) -> None:
-    if w.letters and max(w.letters) > u.size:
-        raise ValueError(f"word letters exceed alphabet [{u.size}]")
+from .words import Word, check_alphabet
 
 
 def graphical_inv(u: Relation, w: Word) -> int:
     """inv'_U(w): the number of pairs i < j with x_i U x_j."""
-    _check_letters(u, w)
+    check_alphabet(u.size, w)
     rows = u.rows
     letters = w.letters
     total = 0
@@ -53,7 +48,7 @@ def graphical_inv(u: Relation, w: Word) -> int:
 
 def graphical_maj(u: Relation, w: Word) -> int:
     """maj'_U(w): the sum of positions i (1-based) with x_i U x_{i+1}."""
-    _check_letters(u, w)
+    check_alphabet(u.size, w)
     rows = u.rows
     letters = w.letters
     total = 0
@@ -119,8 +114,7 @@ def stat_fg(m: GMap, w: Word) -> int:
     i < j with g(f(x_j)) > f(x_i) > f(x_j).  Always equal to the evaluation
     of gmap_stat(m); both routes are kept deliberately.
     """
-    if w.letters and max(w.letters) > m.size:
-        raise ValueError(f"word letters exceed alphabet [{m.size}]")
+    check_alphabet(m.size, w)
     f, g = m.f, m.g
     letters = w.letters
     total = 0
@@ -154,9 +148,7 @@ def letter_counts(u: Relation, s: Relation, w: Word, x: int) -> tuple[int, int, 
     """
     if u.size != s.size:
         raise ValueError("alphabet size mismatch")
-    _check_letters(u, w)
-    if not 1 <= x <= u.size:
-        raise ValueError(f"letter {x} outside alphabet [{u.size}]")
+    check_alphabet(u.size, w, x)
     l_count = r_count = t_count = 0
     for y in w.letters:
         if u.contains(y, x):

@@ -22,7 +22,7 @@ inv.
 from __future__ import annotations
 
 from .relations import Relation
-from .words import Word
+from .words import Word, check_alphabet
 
 CASE_PIVOTS_RELATED = "i"  # pivots lie in R_x
 CASE_PIVOTS_UNRELATED = "ii"  # pivots lie in L_x
@@ -79,10 +79,7 @@ def x_factorization(
     """
     if not w.letters:
         raise ValueError("the empty word has no factorization")
-    if max(w.letters) > u.size:
-        raise ValueError(f"word letters exceed alphabet [{u.size}]")
-    if not 1 <= x <= u.size:
-        raise ValueError(f"letter {x} outside alphabet [{u.size}]")
+    check_alphabet(u.size, w, x)
     rmask = _related_mask(u, x)
     pivot_class = (rmask >> (w.letters[-1] - 1)) & 1
     case = CASE_PIVOTS_RELATED if pivot_class else CASE_PIVOTS_UNRELATED
@@ -99,26 +96,19 @@ def x_factorization(
 
 def gamma(u: Relation, x: int, w: Word) -> Word:
     """Move each pivot of the x-factorization in front of its block."""
-    if w.letters and max(w.letters) > u.size:
-        raise ValueError(f"word letters exceed alphabet [{u.size}]")
-    if not 1 <= x <= u.size:
-        raise ValueError(f"letter {x} outside alphabet [{u.size}]")
+    check_alphabet(u.size, w, x)
     return Word(_gamma_letters(_related_mask(u, x), w.letters), w.size)
 
 
 def gamma_inverse(u: Relation, x: int, w: Word) -> Word:
     """Inverse rewrite: move each pivot back behind its block."""
-    if w.letters and max(w.letters) > u.size:
-        raise ValueError(f"word letters exceed alphabet [{u.size}]")
-    if not 1 <= x <= u.size:
-        raise ValueError(f"letter {x} outside alphabet [{u.size}]")
+    check_alphabet(u.size, w, x)
     return Word(_gamma_inverse_letters(_related_mask(u, x), w.letters), w.size)
 
 
 def psi(u: Relation, w: Word) -> Word:
     """Apply the transformation to w; the image stays in the class of w."""
-    if w.letters and max(w.letters) > u.size:
-        raise ValueError(f"word letters exceed alphabet [{u.size}]")
+    check_alphabet(u.size, w)
     rmasks = [_related_mask(u, x) for x in range(1, u.size + 1)]
     img: tuple[int, ...] = ()
     for x in w.letters:
@@ -128,8 +118,7 @@ def psi(u: Relation, w: Word) -> Word:
 
 def psi_inverse(u: Relation, w: Word) -> Word:
     """Invert psi by peeling the last letter and undoing one gamma per step."""
-    if w.letters and max(w.letters) > u.size:
-        raise ValueError(f"word letters exceed alphabet [{u.size}]")
+    check_alphabet(u.size, w)
     rmasks = [_related_mask(u, x) for x in range(1, u.size + 1)]
     rest = w.letters
     out: list[int] = []

@@ -11,21 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
-
-
-@dataclass(frozen=True, slots=True)
-class Alphabet:
-    """The alphabet [r] = {1, ..., r}."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError(f"alphabet size must be >= 1, got {self.size}")
-
-    def letters(self) -> range:
-        return range(1, self.size + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,6 +80,16 @@ class Composition:
         return sum(self.counts)
 
 
+def check_alphabet(size: int, w: Word, x: int | None = None) -> None:
+    """Raise ValueError unless the letters of w, and the letter x when given,
+    lie in [size].  A Word already keeps its letters >= 1, so only the
+    largest one is compared."""
+    if w.letters and max(w.letters) > size:
+        raise ValueError(f"word letters exceed alphabet [{size}]")
+    if x is not None and not 1 <= x <= size:
+        raise ValueError(f"letter {x} outside alphabet [{size}]")
+
+
 def composition_of(w: Word) -> Composition:
     """Letter multiplicities of ``w`` over its alphabet."""
     counts = [0] * w.size
@@ -146,3 +143,13 @@ def compositions_of_weight(r: int, n: int) -> Iterator[Composition]:
     for first in range(n + 1):
         for rest in compositions_of_weight(r - 1, n - first):
             yield Composition((first,) + rest.counts)
+
+
+@lru_cache(maxsize=16)
+def compositions_up_to(r: int, max_weight: int) -> tuple[Composition, ...]:
+    """All compositions into r parts of weight 0..max_weight: by weight, then
+    in lex order.  Cached, since certificates walk the same classes for many
+    statistics; callers share the tuple."""
+    return tuple(
+        c for n in range(max_weight + 1) for c in compositions_of_weight(r, n)
+    )

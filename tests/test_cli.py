@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from majinv.cli import main
+from majinv.relations import JSON_SIZE_CAP
 
 
 @pytest.fixture()
@@ -277,6 +278,176 @@ def test_verify_size_cap(capsys):
     assert code == 1 and "capped" in err
 
 
+def test_verify_pair_sweep_refuses_tables_beyond_the_memory_budget(capsys):
+    # weight 12 over [3] needs three 2.2 GB tables; it is refused before any
+    # stage runs, while weight 5 still certifies
+    for weight in ("12", str(10**9)):
+        code, out, err = run(
+            capsys, "verify", "theorem-majinv", "--size", "3", "--max-weight", weight
+        )
+        assert code == 1 and out == "", weight
+        assert err.startswith("error:") and "budget" in err, weight
+    code, out, _ = run(
+        capsys, "verify", "theorem-majinv", "--size", "3", "--max-weight", "5"
+    )
+    assert code == 0 and json.loads(out)["witnesses"]["max_weight"] == 5
+
+
+# Reports of the seven suites at small sizes, elapsed_ms left out, as they
+# were before the verifiers shared their checks, stopwatch and class list.
+GOLDEN_REPORTS = [
+    (
+        ["theorem-majinv", "--size", "2", "--max-weight", "3"],
+        0,
+        {
+            "checked": 256,
+            "violations": [],
+            "witnesses": {
+                "equidistributed_pairs": 43,
+                "kappa_extension_pairs": 43,
+                "max_weight": 3,
+                "survivors_by_weight": {"2": 81, "3": 43},
+            },
+        },
+    ),
+    (
+        ["classification", "--size", "2", "--max-weight", "3"],
+        0,
+        {
+            "checked": 256,
+            "violations": [],
+            "witnesses": {
+                "expected_count": 4,
+                "mahonian_pairs": 4,
+                "max_weight": 3,
+                "survivors_by_weight": {"2": 4, "3": 4},
+            },
+        },
+    ),
+    (
+        ["classification", "--size", "3", "--max-weight", "3"],
+        2,
+        {
+            "checked": 262144,
+            "violations": [
+                {
+                    "u": {"size": 3, "pairs": [[1, 2]]},
+                    "v": {"size": 3, "pairs": [[2, 3], [3, 1]]},
+                    "mahonian": True,
+                    "classified": False,
+                },
+                {
+                    "u": {"size": 3, "pairs": [[1, 3]]},
+                    "v": {"size": 3, "pairs": [[2, 1], [3, 2]]},
+                    "mahonian": True,
+                    "classified": False,
+                },
+                {
+                    "u": {"size": 3, "pairs": [[2, 1]]},
+                    "v": {"size": 3, "pairs": [[1, 3], [3, 2]]},
+                    "mahonian": True,
+                    "classified": False,
+                },
+                {
+                    "u": {"size": 3, "pairs": [[2, 3]]},
+                    "v": {"size": 3, "pairs": [[1, 2], [3, 1]]},
+                    "mahonian": True,
+                    "classified": False,
+                },
+                {
+                    "u": {"size": 3, "pairs": [[3, 1]]},
+                    "v": {"size": 3, "pairs": [[1, 2], [2, 3]]},
+                    "mahonian": True,
+                    "classified": False,
+                },
+                {
+                    "u": {"size": 3, "pairs": [[3, 2]]},
+                    "v": {"size": 3, "pairs": [[1, 3], [2, 1]]},
+                    "mahonian": True,
+                    "classified": False,
+                },
+                {"count": 42, "expected_count": 36},
+            ],
+            "witnesses": {
+                "expected_count": 36,
+                "mahonian_pairs": 42,
+                "max_weight": 3,
+                "survivors_by_weight": {"2": 64, "3": 42},
+            },
+        },
+    ),
+    (
+        ["closure", "--size", "2"],
+        0,
+        {
+            "checked": 18,
+            "violations": [],
+            "witnesses": {"bipartitional": 10, "kappa_extensible": 12},
+        },
+    ),
+    (
+        ["distinctness", "--size", "2", "--max-len", "3"],
+        0,
+        {
+            "checked": 6,
+            "violations": [],
+            "witnesses": {
+                "first_separators": {
+                    "0,1": "1 2 2",
+                    "0,2": "1 2",
+                    "0,3": "1 2",
+                    "1,2": "1 2",
+                    "1,3": "1 2",
+                    "2,3": "1 2 1",
+                },
+                "statistics": [
+                    {"u": {"size": 2, "pairs": [[1, 2]]}, "v": {"size": 2, "pairs": []}},
+                    {"u": {"size": 2, "pairs": []}, "v": {"size": 2, "pairs": [[1, 2]]}},
+                    {"u": {"size": 2, "pairs": [[2, 1]]}, "v": {"size": 2, "pairs": []}},
+                    {"u": {"size": 2, "pairs": []}, "v": {"size": 2, "pairs": [[2, 1]]}},
+                ],
+            },
+        },
+    ),
+    (
+        ["product-formula", "--size", "2", "--max-weight", "3"],
+        0,
+        {
+            "checked": 120,
+            "violations": [],
+            "witnesses": {"kappa_extensible": 12, "max_weight": 3},
+        },
+    ),
+    (
+        ["macmahon", "--size", "3", "--max-weight", "4"],
+        0,
+        {"checked": 35, "violations": [], "witnesses": {"max_weight": 4}},
+    ),
+    (
+        ["applications", "--max-weight", "2"],
+        0,
+        {
+            "checked": 4120,
+            "violations": [],
+            "witnesses": {"alphabet": 4, "max_weight": 2},
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, expected",
+    GOLDEN_REPORTS,
+    ids=[" ".join(argv) for argv, _, _ in GOLDEN_REPORTS],
+)
+def test_verify_reports_match_golden(capsys, argv, exit_code, expected):
+    code, out, _ = run(capsys, "verify", *argv)
+    report = json.loads(out)
+    assert isinstance(report.pop("elapsed_ms"), int)
+    assert code == exit_code
+    assert report == expected
+
+
 def test_enumerate(capsys, relation_files):
     code, out, _ = run(capsys, "enumerate", "--order", relation_files["gt2"])
     assert code == 0
@@ -313,7 +484,28 @@ def test_malformed_relation_and_sets_are_usage_errors(capsys, tmp_path):
             code, out, err = run(capsys, *argv)
             assert code == 1 and out == "", (pairs, argv)
             assert err.startswith("error:"), (pairs, argv)
-    for sets in ("[1,2]", "null", '[[1],"2"]', "[[1.5]]", "[[true]]", '{"a": [1]}'):
+    for i, data in enumerate(
+        (
+            {"size": 2.9, "pairs": [[True, 1.5]]},
+            {"size": 2, "pairs": [[2.0, 1]]},
+            {"size": False, "pairs": []},
+            {"size": 10**9, "pairs": []},
+        )
+    ):
+        bad = tmp_path / f"strict{i}.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check", "transitive", "--relation", str(bad))
+        assert code == 1 and out == "", data
+        assert err.startswith("error:"), data
+    for sets in (
+        "[1,2]",
+        "null",
+        '[[1],"2"]',
+        "[[1.5]]",
+        "[[2.0]]",
+        "[[true]]",
+        '{"a": [1]}',
+    ):
         code, out, err = run(
             capsys, "eval", "--stat", "setmaj", "--sets", sets, "--word", "1"
         )
@@ -336,20 +528,48 @@ json_value = st.recursive(
     ),
     max_leaves=12,
 )
-# Sizes stay small: nothing bounds a relation's size yet, and loading one is
-# quadratic in it, so a huge size is a hang rather than a shape error.
-pair_entry = st.one_of(st.integers(min_value=-1, max_value=5), json_leaf)
+# Floats and bools near the valid range would load as the integers int()
+# makes of them if they were coerced, so they are drawn beside the integers.
+near_int = st.one_of(
+    st.booleans(), st.floats(min_value=-1, max_value=5), st.integers(-1, 5)
+)
+pair_entry = st.one_of(near_int, json_leaf)
 relation_json = st.one_of(
     json_value,
     st.fixed_dictionaries(
         {
-            "size": st.one_of(st.integers(min_value=-1, max_value=4), json_value),
+            "size": st.one_of(
+                near_int, st.integers(JSON_SIZE_CAP - 1, 10**12), json_value
+            ),
             "pairs": st.one_of(
                 st.lists(st.lists(pair_entry, max_size=3), max_size=4), json_value
             ),
         }
     ),
 )
+
+
+def _is_relation_json(data) -> bool:
+    """The relation file format, read strictly: integer size in 1..cap and
+    distinct [x, y] pairs of integer letters in [size]."""
+
+    def is_int(v):
+        return type(v) is int
+
+    if not (isinstance(data, dict) and is_int(data.get("size"))):
+        return False
+    r, pairs = data["size"], data.get("pairs")
+    return (
+        1 <= r <= JSON_SIZE_CAP
+        and isinstance(pairs, list)
+        and all(
+            isinstance(p, list)
+            and len(p) == 2
+            and all(is_int(v) and 1 <= v <= r for v in p)
+            for p in pairs
+        )
+        and len({tuple(p) for p in pairs}) == len(pairs)
+    )
 
 
 @settings(
@@ -380,3 +600,5 @@ def test_fuzzed_relation_json_and_sets_never_trace_back(capsys, tmp_path, data, 
             code, err = exc.code, capsys.readouterr().err
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err, argv
+        if argv[0] == "check" and argv[1] == "transitive":
+            assert (code == 0) == _is_relation_json(data), err

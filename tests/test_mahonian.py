@@ -411,6 +411,25 @@ def test_psi_verifier_r2():
         for u in enumerate_relations(2)
         if is_kappa_extension(kappa_closure(u), u)
     )
+    report = verify_psi(2, 4).to_json_dict()
+    del report["elapsed_ms"]
+    assert report == {  # as before the verifiers shared their table builder
+        "checked": 55,
+        "violations": [],
+        "witnesses": {
+            "kappa_extensible": 12,
+            "kappa_extension_pairs": 43,
+            "words": 31,
+            "max_len": 4,
+        },
+    }
+
+
+def test_psi_verifier_refuses_tables_beyond_the_memory_budget():
+    # 3**14 words of length 14 alone take two 19.6 GB tables over [3]
+    for r, max_len in ((3, 14), (2, 10**9)):
+        with pytest.raises(ValueError, match="budget"):
+            verify_psi(r, max_len)
 
 
 def test_rawlings_pairs_land_in_classification():

@@ -77,6 +77,9 @@ def test_text_rendering():
 def test_json_round_trip():
     p = poly(1, 0, 5)
     assert QPolynomial.from_json_dict(p.to_json_dict()) == p
+    for coeffs in ([1, 0.5], [1, 2.0], [True, 1], [1, "2"]):
+        with pytest.raises(ValueError, match="JSON integer"):
+            QPolynomial.from_json_dict({"coeffs": coeffs})
 
 
 def test_q_factorial_examples():

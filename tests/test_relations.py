@@ -34,6 +34,7 @@ from majinv import (
     v_k,
 )
 from majinv.mahonian import enumerate_relations
+from majinv.relations import JSON_SIZE_CAP
 
 CHAIN = Relation.from_pairs(3, [(1, 2), (2, 3)])
 
@@ -247,12 +248,54 @@ def test_relation_json_round_trip():
         Relation.from_json_dict({"pairs": []})
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"size": 2.9, "pairs": [[True, 1.5]]},  # loaded as {(1,1)} on [2] by int()
+        {"size": 2.0, "pairs": []},
+        {"size": True, "pairs": []},
+        {"size": 2, "pairs": [[True, 1]]},
+        {"size": 2, "pairs": [[2, 1.0]]},
+        {"size": 2, "pairs": [[2, "1"]]},
+    ],
+)
+def test_relation_json_needs_json_integers(data):
+    with pytest.raises(ValueError, match="JSON integer"):
+        Relation.from_json_dict(data)
+
+
+def test_relation_json_size_is_capped_before_allocating():
+    cap = JSON_SIZE_CAP
+    assert Relation.from_json_dict({"size": cap, "pairs": [[cap, 1]]}).size == cap
+    for size in (cap + 1, 10**12):
+        with pytest.raises(ValueError, match=f"capped at {cap}"):
+            Relation.from_json_dict({"size": size, "pairs": []})
+
+
+def test_row_bit_at_index_size_is_rejected_at_large_size():
+    n = 10**5
+    rows = (0,) * (n - 1)
+    assert Relation(n, rows + (1 << (n - 1),)).contains(n, n)
+    with pytest.raises(ValueError, match="exceeds alphabet size"):
+        Relation(n, rows + (1 << n,))
+    with pytest.raises(ValueError, match="exceeds alphabet size"):
+        Relation(n, rows + (-1,))
+
+
 def test_bipartition_json_round_trip():
     b = Bipartition(((2, 3), (1,)), (1, 0))
     assert Bipartition.from_json_dict(b.to_json_dict()) == b
     assert b.to_json_dict() == {"blocks": [[2, 3], [1]], "betas": [1, 0]}
     with pytest.raises(ValueError):
         Bipartition.from_json_dict({"blocks": [[1]]})
+    for data in (
+        {"blocks": [[2, 3], [1]], "betas": [True, 0]},
+        {"blocks": [[2, 3], [1]], "betas": [1.0, 0]},
+        {"blocks": [[2, 3], [1.0]], "betas": [1, 0]},
+        {"blocks": [[2, True], [1]], "betas": [1, 0]},
+    ):
+        with pytest.raises(ValueError, match="JSON integer"):
+            Bipartition.from_json_dict(data)
 
 
 def _ordered_set_partitions(items):

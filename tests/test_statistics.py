@@ -13,6 +13,8 @@ from majinv import (
     Word,
     empty_relation,
     full_relation,
+    gamma,
+    gamma_inverse,
     gmap_stat,
     graphical_inv,
     graphical_maj,
@@ -22,12 +24,15 @@ from majinv import (
     letter_counts,
     maj_stat,
     natural_order,
+    psi,
+    psi_inverse,
     ratio_gmap,
     set_maj,
     stat_fg,
     u_k,
     v_k,
     words_of_length,
+    x_factorization,
 )
 from majinv.mahonian import enumerate_relations
 
@@ -95,6 +100,37 @@ def test_letter_counts_examples():
     assert letter_counts(empty_relation(3), GT3, wd("3 1 2"), 2) == (3, 0, 1)
     with pytest.raises(ValueError):
         letter_counts(GT3, GT3, wd("3 1 2"), 4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w: graphical_inv(GT3, w),
+        lambda w: graphical_maj(GT3, w),
+        lambda w: stat_fg(ratio_gmap(3, 1), w),
+        lambda w: letter_counts(GT3, GT3, w, 1),
+        lambda w: x_factorization(GT3, w, 1),
+        lambda w: gamma(GT3, 1, w),
+        lambda w: gamma_inverse(GT3, 1, w),
+        lambda w: psi(GT3, w),
+        lambda w: psi_inverse(GT3, w),
+    ],
+    ids=[
+        "graphical_inv",
+        "graphical_maj",
+        "stat_fg",
+        "letter_counts",
+        "x_factorization",
+        "gamma",
+        "gamma_inverse",
+        "psi",
+        "psi_inverse",
+    ],
+)
+def test_word_over_a_larger_alphabet_is_refused(call):
+    call(wd("3 1 2", 4))  # letters inside [3] pass whatever the word's alphabet
+    with pytest.raises(ValueError, match=r"word letters exceed alphabet \[3\]"):
+        call(wd("1 4 2", 4))
 
 
 def test_letter_counts_partition_property():

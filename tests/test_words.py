@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from majinv import Composition, Word, class_size, composition_of, enumerate_class
-from majinv.words import Alphabet, compositions_of_weight, words_of_length
+from majinv.words import compositions_of_weight, compositions_up_to, words_of_length
 
 
 def wd(text, size):
@@ -43,8 +43,6 @@ def test_word_validation():
         Word((), 0)
     with pytest.raises(ValueError):
         Composition((1, -1))
-    with pytest.raises(ValueError):
-        Alphabet(0)
 
 
 def test_text_forms_round_trip():
@@ -81,6 +79,13 @@ def test_compositions_of_weight_counts():
         (1, 1),
         (2, 0),
     ]
+
+
+def test_compositions_up_to_concatenates_the_weights():
+    for r in range(1, 5):
+        for w in range(7):
+            expected = [c for n in range(w + 1) for c in compositions_of_weight(r, n)]
+            assert list(compositions_up_to(r, w)) == expected
 
 
 @given(
