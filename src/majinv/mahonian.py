@@ -55,7 +55,7 @@ from .statistics import (
     subset_stat,
     subset_stat_total,
 )
-from .transform import _gamma_letters
+from .transform import _gamma_letters, _pivot_classes
 from .words import (
     Composition,
     Word,
@@ -577,17 +577,18 @@ def verify_psi(r: int, max_len: int) -> Report:
         if not is_kappa_extensible(u_rel):
             continue
         extensible += 1
-        rmasks = [u_rel.column(x) for x in range(1, r + 1)]
-        images_of: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
+        table = _pivot_classes(u_rel)
+        images_of: dict[tuple[int, ...], list[int]] = {(): []}
         image_idx = np.empty(len(letters_list), dtype=np.int64)
         image_idx[0] = 0
         for wi, ls in enumerate(letters_list):
             if not ls:
                 continue
             x = ls[-1]
-            img = _gamma_letters(rmasks[x - 1], images_of[ls[:-1]]) + (x,)
+            img = _gamma_letters(table[x], images_of[ls[:-1]])
+            img.append(x)
             images_of[ls] = img
-            image_idx[wi] = index[img]
+            image_idx[wi] = index[tuple(img)]
         report.checked += 1
         if not (
             np.array_equal(class_arr[image_idx], class_arr)

@@ -17,9 +17,19 @@ psi permutes every rearrangement class, fixes the last letter, and when S is
 a kappa-extension of U carries maj'_U + inv'_{S minus U} to inv'_S.  The
 natural order U = ">" recovers the classical Foata bijection sending maj to
 inv.
+
+One kernel serves every entry point.  ``_pivot_classes(u)`` tabulates, once
+per relation, the class of each letter against each x: ``cls = table[x]``
+has ``cls[y] = 1`` for y in R_x and 0 for y in L_x.  The rewrites
+``_gamma_letters`` and ``_gamma_inverse_letters`` read that tuple instead of
+shifting a bitmask, and work on lists; the tables sit in a small LRU cache,
+since a relation is typically applied to many words in a row.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import Sequence
 
 from .relations import Relation
 from .words import Word, check_alphabet
@@ -28,45 +38,52 @@ CASE_PIVOTS_RELATED = "i"  # pivots lie in R_x
 CASE_PIVOTS_UNRELATED = "ii"  # pivots lie in L_x
 
 
-def _related_mask(u: Relation, x: int) -> int:
-    """Bitmask of R_x = {y : y U x}."""
-    return u.column(x)
+@lru_cache(maxsize=4)
+def _pivot_classes(u: Relation) -> tuple[tuple[int, ...], ...]:
+    """``table[x][y] = 1 if y U x else 0``, both indexed by letter (entry 0
+    pads).  About 0.5 MB at 256 letters, hence the small cache."""
+    return ((),) + tuple(
+        (0,) + tuple((row >> x) & 1 for row in u.rows) for x in range(u.size)
+    )
 
 
-def _gamma_letters(rmask: int, letters: tuple[int, ...]) -> tuple[int, ...]:
+def _gamma_letters(cls: tuple[int, ...], letters: Sequence[int]) -> list[int]:
     """Pivot-first rewrite of the factorization determined by the last letter."""
     if not letters:
-        return letters
-    pivot_class = (rmask >> (letters[-1] - 1)) & 1
+        return []
+    pivot_class = cls[letters[-1]]
     out: list[int] = []
     block: list[int] = []
     for y in letters:
-        if ((rmask >> (y - 1)) & 1) == pivot_class:
+        if cls[y] == pivot_class:
             out.append(y)
-            out.extend(block)
-            block.clear()
+            if block:
+                out += block
+                block = []
         else:
             block.append(y)
     # the last letter is a pivot, so no block letters remain
-    return tuple(out)
+    return out
 
 
-def _gamma_inverse_letters(rmask: int, letters: tuple[int, ...]) -> tuple[int, ...]:
+def _gamma_inverse_letters(
+    cls: tuple[int, ...], letters: Sequence[int]
+) -> list[int]:
     """Undo _gamma_letters; the first letter reveals the pivot class."""
     if not letters:
-        return letters
-    pivot_class = (rmask >> (letters[0] - 1)) & 1
+        return []
+    pivot_class = cls[letters[0]]
     out: list[int] = []
     pivot = 0
     for y in letters:
-        if ((rmask >> (y - 1)) & 1) == pivot_class:
+        if cls[y] == pivot_class:
             if pivot:
                 out.append(pivot)
             pivot = y
         else:
             out.append(y)
     out.append(pivot)
-    return tuple(out)
+    return out
 
 
 def x_factorization(
@@ -80,50 +97,53 @@ def x_factorization(
     if not w.letters:
         raise ValueError("the empty word has no factorization")
     check_alphabet(u.size, w, x)
-    rmask = _related_mask(u, x)
-    pivot_class = (rmask >> (w.letters[-1] - 1)) & 1
+    cls = _pivot_classes(u)[x]
+    letters = w.letters
+    pivot_class = cls[letters[-1]]
     case = CASE_PIVOTS_RELATED if pivot_class else CASE_PIVOTS_UNRELATED
     parts: list[tuple[Word, int]] = []
-    block: list[int] = []
-    for y in w.letters:
-        if ((rmask >> (y - 1)) & 1) == pivot_class:
-            parts.append((Word(tuple(block), w.size), y))
-            block.clear()
-        else:
-            block.append(y)
+    start = 0
+    for i, y in enumerate(letters):
+        if cls[y] == pivot_class:
+            parts.append((Word(letters[start:i], w.size), y))
+            start = i + 1
     return case, parts
 
 
 def gamma(u: Relation, x: int, w: Word) -> Word:
     """Move each pivot of the x-factorization in front of its block."""
     check_alphabet(u.size, w, x)
-    return Word(_gamma_letters(_related_mask(u, x), w.letters), w.size)
+    cls = _pivot_classes(u)[x]
+    return Word(tuple(_gamma_letters(cls, w.letters)), w.size)
 
 
 def gamma_inverse(u: Relation, x: int, w: Word) -> Word:
     """Inverse rewrite: move each pivot back behind its block."""
     check_alphabet(u.size, w, x)
-    return Word(_gamma_inverse_letters(_related_mask(u, x), w.letters), w.size)
+    cls = _pivot_classes(u)[x]
+    return Word(tuple(_gamma_inverse_letters(cls, w.letters)), w.size)
 
 
 def psi(u: Relation, w: Word) -> Word:
     """Apply the transformation to w; the image stays in the class of w."""
     check_alphabet(u.size, w)
-    rmasks = [_related_mask(u, x) for x in range(1, u.size + 1)]
-    img: tuple[int, ...] = ()
+    table = _pivot_classes(u)
+    img: list[int] = []
     for x in w.letters:
-        img = _gamma_letters(rmasks[x - 1], img) + (x,)
-    return Word(img, w.size)
+        img = _gamma_letters(table[x], img)
+        img.append(x)
+    return Word(tuple(img), w.size)
 
 
 def psi_inverse(u: Relation, w: Word) -> Word:
     """Invert psi by peeling the last letter and undoing one gamma per step."""
     check_alphabet(u.size, w)
-    rmasks = [_related_mask(u, x) for x in range(1, u.size + 1)]
-    rest = w.letters
+    table = _pivot_classes(u)
+    rest = list(w.letters)
     out: list[int] = []
     while rest:
-        x = rest[-1]
+        x = rest.pop()
         out.append(x)
-        rest = _gamma_inverse_letters(rmasks[x - 1], rest[:-1])
-    return Word(tuple(reversed(out)), w.size)
+        rest = _gamma_inverse_letters(table[x], rest)
+    out.reverse()
+    return Word(tuple(out), w.size)

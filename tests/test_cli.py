@@ -1,11 +1,12 @@
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from majinv.cli import main
-from majinv.relations import JSON_SIZE_CAP
+from majinv.relations import JSON_SIZE_CAP, natural_order
 
 
 @pytest.fixture()
@@ -602,3 +603,23 @@ def test_fuzzed_relation_json_and_sets_never_trace_back(capsys, tmp_path, data, 
         assert "Traceback" not in err, argv
         if argv[0] == "check" and argv[1] == "transitive":
             assert (code == 0) == _is_relation_json(data), err
+
+
+def test_check_kappa_extensible_on_256_letters(capsys, tmp_path):
+    # 1 and 2 are minimal and unrelated, 3..254 lie above both in a chain, and
+    # 255 U 1, 256 U 2: transitive, and only the rows of 255 and 256 are
+    # incomparable, so a scan over quadruples would find them last
+    pairs = [[x, y] for x in range(3, 255) for y in range(1, x)] + [[255, 1], [256, 2]]
+    cases = {
+        "order": (natural_order(256).to_json_dict(), "true"),
+        "split": ({"size": 256, "pairs": pairs}, "false"),
+    }
+    for name, (data, verdict) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "check", "transitive", "--relation", str(path))
+        assert code == 0 and out.strip() == "true"
+        code, out, _ = run(capsys, "check", "kappa-extensible", "--relation", str(path))
+        assert code == 0 and out.strip() == verdict
+        assert time.perf_counter() - start < 10

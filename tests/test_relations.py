@@ -417,3 +417,35 @@ def test_gmap_round_trip_random(r, rng):
     back = relation_to_gmap(u, order_from_ranks(f))
     assert gmap_to_relation(back) == u
     assert back.g == g  # g is uniquely determined by U and the order
+
+
+def _extensible_by_quadruple(u):
+    """The defining scan: transitive, and no x U y, not z U y, z U t, not x U t."""
+    if not is_transitive(u):
+        return False
+    letters = range(1, u.size + 1)
+    for x in letters:
+        for y in letters:
+            if not u.contains(x, y):
+                continue
+            for z in letters:
+                if u.contains(z, y):
+                    continue
+                for t in letters:
+                    if u.contains(z, t) and not u.contains(x, t):
+                        return False
+    return True
+
+
+def test_kappa_extensible_matches_quadruple_scan():
+    for r in range(1, 4):
+        for u in enumerate_relations(r):
+            assert is_kappa_extensible(u) == _extensible_by_quadruple(u)
+    rng = random.Random(44)
+    extensible = 0
+    for _ in range(2000):
+        u = Relation.from_mask(4, rng.getrandbits(16))
+        verdict = is_kappa_extensible(u)
+        assert verdict == _extensible_by_quadruple(u)
+        extensible += verdict
+    assert extensible > 0

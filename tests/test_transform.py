@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from majinv import (
     x_factorization,
 )
 from majinv.mahonian import enumerate_relations
+from majinv.transform import _pivot_classes
 
 GT3 = natural_order(3)
 
@@ -209,3 +211,111 @@ def test_psi_round_trip_random(r, mask, letters):
     w = Word(tuple(x if x <= r else r for x in letters), r)
     assert psi_inverse(u, psi(u, w)) == w
     assert psi(u, psi_inverse(u, w)) == w
+
+
+# --- the table-driven kernel against an oracle written from the definition ---
+#
+# Only u.contains and the factorization in the module docstring are used:
+# against x, a letter y is related when y U x; the pivots are the letters on
+# the same side as the last letter, and each block is the run of other
+# letters just before its pivot.  ``side[y]`` is [y U x], read once per x;
+# the oracles see only ``side``, so their results are memoized on it.
+
+
+def _sides(u, x):
+    return (None,) + tuple(u.contains(y, x) for y in range(1, u.size + 1))
+
+
+@functools.cache
+def _oracle_parts(side, letters):
+    """(block, pivot) parts of the x-factorization of a non-empty word."""
+    pivot_side = side[letters[-1]]
+    parts, block = [], []
+    for y in letters:
+        if side[y] == pivot_side:
+            parts.append((tuple(block), y))
+            block = []
+        else:
+            block.append(y)
+    assert not block
+    return tuple(parts)
+
+
+@functools.cache
+def _oracle_gamma(side, letters):
+    if not letters:
+        return ()
+    parts = _oracle_parts(side, letters)
+    return tuple(z for block, pivot in parts for z in (pivot,) + block)
+
+
+@functools.cache
+def _oracle_gamma_inverse(side, letters):
+    """Cut the image before every letter on the side of its first letter (the
+    pivots) and move each pivot behind the rest of its segment."""
+    if not letters:
+        return ()
+    segments = []
+    for y in letters:
+        if side[y] == side[letters[0]]:
+            segments.append([y])
+        else:
+            segments[-1].append(y)
+    return tuple(z for seg in segments for z in seg[1:] + seg[:1])
+
+
+def _check_kernel_against_oracle(u, words, factorization=True):
+    # words come in length order, so every prefix's oracle image is ready
+    sides = [None] + [_sides(u, x) for x in range(1, u.size + 1)]
+    oracle_psi = {(): ()}
+    for w in words:
+        ls = w.letters
+        if ls:
+            x = ls[-1]
+            oracle_psi[ls] = _oracle_gamma(sides[x], oracle_psi[ls[:-1]]) + (x,)
+        assert psi(u, w).letters == oracle_psi[ls]
+        for x in range(1, u.size + 1):
+            side = sides[x]
+            assert gamma(u, x, w).letters == _oracle_gamma(side, ls)
+            assert gamma_inverse(u, x, w).letters == _oracle_gamma_inverse(side, ls)
+            if ls and factorization:
+                case, parts = x_factorization(u, w, x)
+                assert case == ("i" if side[ls[-1]] else "ii")
+                got = tuple((b.letters, p) for b, p in parts)
+                assert got == _oracle_parts(side, ls)
+
+
+def test_kernel_matches_definition_oracle_r2():
+    for r in (1, 2):
+        words = [w for n in range(7) for w in words_of_length(r, n)]
+        for u in enumerate_relations(r):
+            _check_kernel_against_oracle(u, words)
+
+
+def test_kernel_matches_definition_oracle_r3():
+    # x_factorization shares the table with gamma; it is compared at r <= 2
+    words = [w for n in range(6) for w in words_of_length(3, n)]
+    for u in enumerate_relations(3):
+        _check_kernel_against_oracle(u, words, factorization=False)
+
+
+def test_psi_round_trip_on_256_letters():
+    rng = random.Random(256)
+    r = 256
+    u = Relation(r, tuple(rng.getrandbits(r) for _ in range(r)))
+    w = Word(tuple(rng.randint(1, r) for _ in range(200)), r)
+    img = psi(u, w)
+    assert composition_of(img) == composition_of(w)
+    assert psi_inverse(u, img) == w
+    assert psi(u, psi_inverse(u, w)) == w
+    order = natural_order(r)
+    assert psi_inverse(order, psi(order, w)) == w
+
+
+def test_pivot_class_cache_stays_bounded():
+    maxsize = _pivot_classes.cache_info().maxsize
+    w = Word((1, 2, 1), 2)
+    for mask in range(maxsize + 5):
+        u = Relation.from_mask(2, mask)
+        assert psi_inverse(u, psi(u, w)) == w
+        assert _pivot_classes.cache_info().currsize <= maxsize
