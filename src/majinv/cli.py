@@ -6,8 +6,8 @@ Statistics are named by a small spec language:
   inv | maj | kmaj:<k> | fg:<f letters>:<g values, 'inf' allowed>
       | pair:<U.json>:<V.json> | setmaj          (sets via --sets JSON)
 
-Exit codes: 0 success or verdict, 1 usage or I/O error, 2 a verifier found
-violations.
+Exit codes: 0 success or verdict, 1 usage, argument or I/O error, 2 a
+verifier found violations.
 """
 
 from __future__ import annotations
@@ -22,6 +22,15 @@ from .words import Composition, Word
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, since exit 2 means a verifier found
+    violations; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _load_json(path: str) -> dict:
@@ -147,7 +156,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_distribution(args) -> int:
     comp = Composition.parse(args.composition)
-    stat = _parse_stat(args.stat, args.size or comp.size, args.sets)
+    stat = _parse_stat(args.stat, comp.size, args.sets)
     if stat.size != comp.size:
         raise UsageError(
             f"stat alphabet [{stat.size}] does not match composition over [{comp.size}]"
@@ -200,7 +209,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="majinv",
         description="Graphical maj/inv statistics on words: evaluation, "
         "transformation, relation checks, exact distributions and "
@@ -234,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distribution", help="distribution polynomial on a class")
     p.add_argument("--stat", required=True)
     p.add_argument("--composition", required=True)
-    p.add_argument("--size", type=int)
     p.add_argument("--sets")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_distribution)

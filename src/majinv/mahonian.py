@@ -14,6 +14,9 @@ filter is exact: equidistribution up to weight W implies it up to every lower
 weight, and weights 0 and 1 hold for every pair, since a word of length <= 1
 has no descent and no inversion.  The tables implement the same definitions
 as the statistics module and the test suite cross-checks the two routes.
+
+The sweeps and verify_psi take their kappa-extensions from one cached table
+per alphabet size and their words from one class-grouped list.
 """
 
 from __future__ import annotations
@@ -58,9 +61,7 @@ from .statistics import (
 from .transform import _gamma_letters, _pivot_classes
 from .words import (
     Composition,
-    Word,
     class_size,
-    composition_of,
     compositions_of_weight,
     compositions_up_to,
     enumerate_class,
@@ -208,18 +209,28 @@ def _stat_tables(r: int, letters_list: list[tuple[int, ...]]):
     )
 
 
+def _class_words(r: int, weights) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The letters of every word over [r] whose weight is in ``weights``,
+    grouped by class, with the class index of each word.  Classes follow the
+    order of ``weights``, so with ascending weights every prefix of a word is
+    listed before the word."""
+    letters_list: list[tuple[int, ...]] = []
+    class_of: list[int] = []
+    classes = (c for n in weights for c in compositions_of_weight(r, n))
+    for ci, c in enumerate(classes):
+        for w in enumerate_class(c):
+            letters_list.append(w.letters)
+            class_of.append(ci)
+    return letters_list, class_of
+
+
 def _weight_tables(r: int, n: int):
     """Class keys and bitmask statistic tables of the words of weight n.
 
     Words are grouped by class; ``keybase`` holds class_index * stride with a
     stride above every maj + inv value of a weight-n word.
     """
-    letters_list: list[tuple[int, ...]] = []
-    class_of: list[int] = []
-    for ci, c in enumerate(compositions_of_weight(r, n)):
-        for w in enumerate_class(c):
-            letters_list.append(w.letters)
-            class_of.append(ci)
+    letters_list, class_of = _class_words(r, (n,))
     stride = 1 << (n * (n - 1)).bit_length()
     keybase = np.array(class_of, dtype=np.int64) * stride
     return (keybase, *_stat_tables(r, letters_list))
@@ -259,9 +270,11 @@ def _staged_sweep(r: int, max_weight: int, masks_of):
     return passed, survivors
 
 
+@functools.lru_cache(maxsize=PAIR_SWEEP_CAP)
 def _kappa_extension_table(r: int) -> np.ndarray:
     """Entry [u, s] tells whether S kappa-extends U: the test of
-    is_kappa_extension, made on masks for every S at once."""
+    is_kappa_extension, made on masks for every S at once.  Cached and
+    read-only, since every caller shares the one array."""
     nmasks = 1 << (r * r)
     s = np.arange(nmasks)
     table = np.empty((nmasks, nmasks), dtype=bool)
@@ -269,6 +282,7 @@ def _kappa_extension_table(r: int) -> np.ndarray:
         forced = forced_pairs(Relation.from_mask(r, u))
         need = u | forced.mask
         table[u] = ((s & need) == need) & ((s & forced.transpose().mask) == 0)
+    table.flags.writeable = False
     return table
 
 
@@ -332,19 +346,12 @@ def verify_classification(r: int, max_weight: int) -> Report:
     natural = natural_order(r).mask
     got, survivors = _staged_sweep(r, max_weight, lambda u, v: (u, v, natural))
 
-    nmasks = 1 << (r * r)
-    expected = np.zeros((nmasks, nmasks), dtype=bool)
-    for s in range(nmasks):
-        s_rel = Relation.from_mask(r, s)
-        if not is_total_order(s_rel):
-            continue
-        sub = s
-        while True:
-            if is_kappa_extension(s_rel, Relation.from_mask(r, sub)):
-                expected[sub, s ^ sub] = True
-            if sub == 0:
-                break
-            sub = (sub - 1) & s
+    kext = _kappa_extension_table(r)
+    expected = np.zeros_like(kext)
+    for s in range(kext.shape[0]):
+        if is_total_order(Relation.from_mask(r, s)):
+            u = np.flatnonzero(kext[:, s])  # each such U lies inside S
+            expected[u, s ^ u] = True
 
     report = Report(checked=got.size)
     report.violations = _pair_violations(
@@ -548,35 +555,20 @@ def verify_psi(r: int, max_len: int) -> Report:
     """
     _check_size(r, PAIR_SWEEP_CAP)
     _check_table_bytes(r, range(max_len + 1), 2)
-    letters_list: list[tuple[int, ...]] = [()]
-    for n in range(1, max_len + 1):
-        letters_list.extend(
-            tup for tup in itertools.product(range(1, r + 1), repeat=n)
-        )
+    letters_list, class_of = _class_words(r, range(max_len + 1))
     index = {ls: i for i, ls in enumerate(letters_list)}
-    comp_ids: dict[tuple[int, ...], int] = {}
-    class_arr = np.array(
-        [
-            comp_ids.setdefault(composition_of(Word(ls, r)).counts, len(comp_ids))
-            for ls in letters_list
-        ],
-        dtype=np.int64,
-    )
+    class_arr = np.array(class_of, dtype=np.int64)
     last = np.array([ls[-1] if ls else 0 for ls in letters_list], dtype=np.int64)
     invtab, majtab = _stat_tables(r, letters_list)
 
-    nmasks = 1 << (r * r)
-    full = nmasks - 1
+    full = (1 << (r * r)) - 1
     kext = _kappa_extension_table(r)
+    extensible = np.flatnonzero(kext.any(axis=1)).tolist()
 
     report = Report()
     pair_count = 0
-    extensible = 0
-    for u in range(nmasks):
+    for u in extensible:
         u_rel = Relation.from_mask(r, u)
-        if not is_kappa_extensible(u_rel):
-            continue
-        extensible += 1
         table = _pivot_classes(u_rel)
         images_of: dict[tuple[int, ...], list[int]] = {(): []}
         image_idx = np.empty(len(letters_list), dtype=np.int64)
@@ -617,7 +609,7 @@ def verify_psi(r: int, max_len: int) -> Report:
                     }
                 )
     report.witnesses = {
-        "kappa_extensible": extensible,
+        "kappa_extensible": len(extensible),
         "kappa_extension_pairs": pair_count,
         "words": len(letters_list),
         "max_len": max_len,

@@ -14,7 +14,7 @@ letters x, y, z:  x U y and not(z U y)  imply  x S z and not(z S x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 INF = math.inf  # g-map value larger than every letter
@@ -35,6 +35,8 @@ class Relation:
 
     size: int
     rows: tuple[int, ...]
+    # computed once: relations key per-relation caches, and rehashing grows with r
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size < 1:
@@ -44,6 +46,10 @@ class Relation:
         for row in self.rows:
             if row >> self.size:  # a set bit at index >= size (or row < 0)
                 raise ValueError("row bitmask exceeds alphabet size")
+        object.__setattr__(self, "_hash", hash((self.size, self.rows)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_pairs(cls, r: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
@@ -329,34 +335,24 @@ def extract_bipartition(u: Relation) -> Bipartition:
     return Bipartition(blocks, betas)
 
 
-def _forced_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(1 << z for z, rz in enumerate(rows) if rx & ~rz) for rx in rows)
-
-
 def forced_pairs(u: Relation) -> Relation:
     """Every (x, z) with x U y and not(z U y) for some y.
 
     A kappa-extension of U must contain each forced pair and reverse none.
     """
-    return Relation(u.size, _forced_rows(u.rows))
+    rows = u.rows
+    return Relation(
+        u.size,
+        tuple(sum(1 << z for z, rz in enumerate(rows) if rx & ~rz) for rx in rows),
+    )
 
 
 def is_kappa_extension(s: Relation, u: Relation) -> bool:
     """True iff S contains U and its forced pairs, and reverses none of them."""
     if s.size != u.size:
         raise ValueError("alphabet size mismatch")
-    if not u.issubset(s):
-        return False
-    srows = s.rows
-    for x, fx in enumerate(_forced_rows(u.rows)):
-        if fx & ~srows[x]:
-            return False
-        while fx:  # the forced (x, z) must not be reversed by z S x
-            z = (fx & -fx).bit_length() - 1
-            if (srows[z] >> x) & 1:
-                return False
-            fx &= fx - 1
-    return True
+    forced = forced_pairs(u)
+    return (u | forced).issubset(s) and not any((s & forced.transpose()).rows)
 
 
 def is_kappa_extensible(u: Relation) -> bool:

@@ -206,6 +206,32 @@ def test_bad_stat_specs(capsys):
     assert code == 1 and "--sets" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--word", "1", "--size", "2"],  # missing --stat
+        ["verify", "nosuch"],
+        ["verify", "macmahon", "--size", "x"],
+        ["eval", "--stat", "maj", "--word", "1", "--size", "2", "--bogus"],
+        ["distribution", "--stat", "inv", "--composition", "1,1", "--size", "2"],
+    ],
+)
+def test_usage_errors_exit_1_not_the_violation_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert "error:" in captured.err and captured.out == ""
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["distribution", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert "--composition" in out and "--size" not in out
+
+
 def test_distribution_size_mismatch(capsys, relation_files):
     spec = f"pair:{relation_files['gt2']}:{relation_files['gt2']}"
     code, _, err = run(
@@ -594,12 +620,12 @@ def test_fuzzed_relation_json_and_sets_never_trace_back(capsys, tmp_path, data, 
         ["eval", "--stat", "setmaj", "--sets", sets, "--word", "1"],
         ["distribution", "--stat", "setmaj", "--sets", sets, "--composition", "1,1"],
     ):
-        # an exception escaping main fails the test; argparse exits with 2
+        # an exception escaping main fails the test; argparse exits with 1
         try:
             code, _, err = run(capsys, *argv)
         except SystemExit as exc:
             code, err = exc.code, capsys.readouterr().err
-        assert code in (0, 1, 2), argv
+        assert code in (0, 1), argv
         assert "Traceback" not in err, argv
         if argv[0] == "check" and argv[1] == "transitive":
             assert (code == 0) == _is_relation_json(data), err

@@ -190,6 +190,40 @@ def test_kappa_extension_table_matches_predicate_r3():
         assert table[u.mask].tolist() == [is_kappa_extension(s, u) for s in rels]
 
 
+def _kappa_extension_by_letters(r, u, s):
+    """S kappa-extends U: U lies inside S, and x U y with not(z U y) gives
+    x S z and not(z S x).  Relations are masks with bit (x-1)*r + (y-1)."""
+
+    def has(m, x, y):
+        return (m >> (x * r + y)) & 1
+
+    letters = range(r)
+    return u & ~s == 0 and all(
+        has(s, x, z) and not has(s, z, x)
+        for x in letters
+        for y in letters
+        for z in letters
+        if has(u, x, y) and not has(u, z, y)
+    )
+
+
+def test_kappa_extension_table_matches_letter_definition():
+    from majinv.mahonian import _kappa_extension_table
+
+    # every pair at r <= 3 (262,144 at r = 3, 1,701 of them kappa-extensions)
+    for r in (1, 2, 3):
+        n = 1 << (r * r)
+        assert _kappa_extension_table(r).tolist() == [
+            [_kappa_extension_by_letters(r, u, s) for s in range(n)] for u in range(n)
+        ]
+    table = _kappa_extension_table(3)
+    assert int(table.sum()) == 1701
+    # one shared array per alphabet size, which no caller may write
+    assert _kappa_extension_table(3) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = not table[0, 0]
+
+
 def test_classification_r1():
     report = verify_classification(1, 3)
     assert report.checked == 4 and report.ok

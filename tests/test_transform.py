@@ -312,6 +312,17 @@ def test_psi_round_trip_on_256_letters():
     assert psi_inverse(order, psi(order, w)) == w
 
 
+def test_equal_relations_share_one_pivot_class_entry():
+    a = Relation.from_pairs(3, [(3, 1), (2, 1)])
+    b = Relation.from_mask(3, a.mask)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != Relation.from_pairs(3, [(3, 1)])
+    _pivot_classes.cache_clear()
+    assert _pivot_classes(a) is _pivot_classes(b)
+    info = _pivot_classes.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
 def test_pivot_class_cache_stays_bounded():
     maxsize = _pivot_classes.cache_info().maxsize
     w = Word((1, 2, 1), 2)
