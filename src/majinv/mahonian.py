@@ -58,7 +58,7 @@ from .statistics import (
     subset_stat,
     subset_stat_total,
 )
-from .transform import _gamma_letters, _pivot_classes
+from .transform import _psi_letters
 from .words import (
     Composition,
     class_size,
@@ -550,8 +550,8 @@ def verify_psi(r: int, max_len: int) -> Report:
     letter, and carries maj'_U + inv'_{S minus U} to inv'_S for every
     kappa-extension S of U.
 
-    Images are built by the same letter-by-letter recursion as psi, applied
-    incrementally along the prefix tree of words.
+    Images come from psi's own memo; the word list is ordered by weight, so
+    each image is one gamma step on top of its stored prefix's image.
     """
     _check_size(r, PAIR_SWEEP_CAP)
     _check_table_bytes(r, range(max_len + 1), 2)
@@ -569,18 +569,9 @@ def verify_psi(r: int, max_len: int) -> Report:
     pair_count = 0
     for u in extensible:
         u_rel = Relation.from_mask(r, u)
-        table = _pivot_classes(u_rel)
-        images_of: dict[tuple[int, ...], list[int]] = {(): []}
-        image_idx = np.empty(len(letters_list), dtype=np.int64)
-        image_idx[0] = 0
-        for wi, ls in enumerate(letters_list):
-            if not ls:
-                continue
-            x = ls[-1]
-            img = _gamma_letters(table[x], images_of[ls[:-1]])
-            img.append(x)
-            images_of[ls] = img
-            image_idx[wi] = index[tuple(img)]
+        image_idx = np.array(
+            [index[_psi_letters(u_rel, ls)] for ls in letters_list], dtype=np.int64
+        )
         report.checked += 1
         if not (
             np.array_equal(class_arr[image_idx], class_arr)

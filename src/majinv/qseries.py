@@ -190,7 +190,7 @@ def q_factorial(n: int) -> QPolynomial:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # the classes bench workload reads 363 keys
 def _q_multinomial_cached(counts: tuple[int, ...]) -> QPolynomial:
     num = q_factorial(sum(counts))
     for c in counts:

@@ -14,6 +14,7 @@ letters x, y, z:  x U y and not(z U y)  imply  x S z and not(z S x).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -27,6 +28,10 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be a JSON integer, got {value!r}")
     return value
+
+
+def _and_not(a: int, b: int) -> int:
+    return a & ~b
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,7 +104,9 @@ class Relation:
         return col
 
     def transpose(self) -> "Relation":
-        return Relation(self.size, tuple(self.column(y) for y in range(1, self.size + 1)))
+        return _trusted_relation(
+            self.size, tuple(self.column(y) for y in range(1, self.size + 1))
+        )
 
     def count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
@@ -107,16 +114,16 @@ class Relation:
     def _binop(self, other: "Relation", op) -> "Relation":
         if self.size != other.size:
             raise ValueError("alphabet size mismatch")
-        return Relation(self.size, tuple(op(a, b) for a, b in zip(self.rows, other.rows)))
+        return _trusted_relation(self.size, tuple(map(op, self.rows, other.rows)))
 
     def __or__(self, other: "Relation") -> "Relation":
-        return self._binop(other, lambda a, b: a | b)
+        return self._binop(other, operator.or_)
 
     def __and__(self, other: "Relation") -> "Relation":
-        return self._binop(other, lambda a, b: a & b)
+        return self._binop(other, operator.and_)
 
     def __sub__(self, other: "Relation") -> "Relation":
-        return self._binop(other, lambda a, b: a & ~b)
+        return self._binop(other, _and_not)
 
     def issubset(self, other: "Relation") -> bool:
         if self.size != other.size:
@@ -144,6 +151,22 @@ class Relation:
         if len(set(pairs)) != len(pairs):
             raise ValueError("duplicate pairs in relation JSON")
         return cls.from_pairs(r, pairs)
+
+
+# slot setters bypass the frozen __setattr__, as the generated __init__ does
+_set_size = Relation.size.__set__
+_set_rows = Relation.rows.__set__
+_set_hash = Relation._hash.__set__
+
+
+def _trusted_relation(size: int, rows: tuple[int, ...]) -> Relation:
+    """A Relation built without the row checks, for rows derived from valid
+    rows of the same size; the hash is still computed once."""
+    rel = object.__new__(Relation)
+    _set_size(rel, size)
+    _set_rows(rel, rows)
+    _set_hash(rel, hash((size, rows)))
+    return rel
 
 
 @dataclass(frozen=True, slots=True)
@@ -341,7 +364,7 @@ def forced_pairs(u: Relation) -> Relation:
     A kappa-extension of U must contain each forced pair and reverse none.
     """
     rows = u.rows
-    return Relation(
+    return _trusted_relation(
         u.size,
         tuple(sum(1 << z for z, rz in enumerate(rows) if rx & ~rz) for rx in rows),
     )

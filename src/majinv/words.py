@@ -25,6 +25,8 @@ class Word:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError(f"alphabet size must be >= 1, got {self.size}")
+        if type(self.letters) is not tuple:  # hashable, so it can key a memo
+            _set_letters(self, tuple(self.letters))
         for x in self.letters:
             if not 1 <= x <= self.size:
                 raise ValueError(f"letter {x} outside alphabet [{self.size}]")
@@ -46,6 +48,20 @@ class Word:
 
     def __getitem__(self, i: int) -> int:
         return self.letters[i]
+
+
+# slot setters bypass the frozen __setattr__, as the generated __init__ does
+_set_letters = Word.letters.__set__
+_set_size = Word.size.__set__
+
+
+def _trusted_word(letters: tuple[int, ...], size: int) -> Word:
+    """A Word built without the letter check, for letters already known to
+    lie in [size], such as a rearrangement of a checked word's letters."""
+    w = object.__new__(Word)
+    _set_letters(w, letters)
+    _set_size(w, size)
+    return w
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,7 +130,7 @@ def enumerate_class(c: Composition) -> Iterator[Word]:
 
     def rec() -> Iterator[Word]:
         if len(buf) == n:
-            yield Word(tuple(buf), r)
+            yield _trusted_word(tuple(buf), r)
             return
         for x in range(1, r + 1):
             if counts[x - 1]:
@@ -129,8 +145,10 @@ def enumerate_class(c: Composition) -> Iterator[Word]:
 
 def words_of_length(r: int, n: int) -> Iterator[Word]:
     """All r**n words of length n over [r], in lex order."""
+    if r < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {r}")
     for tup in itertools.product(range(1, r + 1), repeat=n):
-        yield Word(tup, r)
+        yield _trusted_word(tup, r)
 
 
 def compositions_of_weight(r: int, n: int) -> Iterator[Composition]:

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from majinv.cli import main
-from majinv.relations import JSON_SIZE_CAP, natural_order
+from majinv.relations import JSON_SIZE_CAP, Relation, natural_order
 
 
 @pytest.fixture()
@@ -629,6 +629,58 @@ def test_fuzzed_relation_json_and_sets_never_trace_back(capsys, tmp_path, data, 
         assert "Traceback" not in err, argv
         if argv[0] == "check" and argv[1] == "transitive":
             assert (code == 0) == _is_relation_json(data), err
+
+
+word_token = st.one_of(
+    st.integers(1, 4).map(str),
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["", "0", "x", "1.5", "+2", "02", "\u0663", "-", "--"]),
+    st.text(max_size=3),
+)
+
+
+def _word_or_none(text: str, r: int):
+    """The letters of a word over [r] written as text, or None if malformed."""
+    try:
+        letters = [int(t) for t in text.split()]
+    except ValueError:
+        return None
+    return letters if all(1 <= x <= r for x in letters) else None
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    r=st.integers(1, 4),
+    mask=st.integers(0, (1 << 16) - 1),
+    tokens=st.lists(word_token, max_size=8),
+    sep=st.sampled_from([" ", "  ", "\t"]),
+    inverse=st.booleans(),
+    as_json=st.booleans(),
+)
+def test_fuzzed_transform_argv(capsys, tmp_path, r, mask, tokens, sep, inverse, as_json):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(Relation.from_mask(r, mask % (1 << (r * r))).to_json_dict()))
+    text = sep.join(tokens)
+    flags = ["--inverse"] if inverse else []
+    flags += ["--json"] if as_json else []
+    try:
+        code, out, err = run(capsys, "transform", "--relation", str(path), "--word", text, *flags)
+    except SystemExit as exc:  # argparse refuses e.g. a word written as an option
+        code, out, err = exc.code, "", capsys.readouterr().err
+    assert "Traceback" not in err
+    expected = _word_or_none(text, r)
+    if expected is None:
+        assert code == 1 and "error:" in err
+        return
+    assert code == 0, err
+    image = json.loads(out)["word"] if as_json else out.rstrip("\n")
+    back_flags = [] if inverse else ["--inverse"]
+    code, out, _ = run(capsys, "transform", "--relation", str(path), "--word", image, *back_flags)
+    assert code == 0 and [int(t) for t in out.split()] == expected
 
 
 def test_check_kappa_extensible_on_256_letters(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from operator import and_, or_, sub
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ from majinv import (
     v_k,
 )
 from majinv.mahonian import enumerate_relations
-from majinv.relations import JSON_SIZE_CAP
+from majinv.relations import JSON_SIZE_CAP, forced_pairs
 
 CHAIN = Relation.from_pairs(3, [(1, 2), (2, 3)])
 
@@ -149,6 +150,20 @@ def test_is_kappa_extension_matches_definition():
         ]
         for s in candidates:
             assert is_kappa_extension(s, u) == _kappa_extension_by_definition(s, u)
+
+
+def test_derived_relations_equal_and_hash_like_checked_ones():
+    # operators build their results without re-checking the rows
+    for r in (1, 2):
+        rels = list(enumerate_relations(r))
+        for a in rels:
+            derived = [a.transpose(), forced_pairs(a), kappa_closure(a)]
+            derived += [op(a, b) for b in rels for op in (or_, and_, sub)]
+            for d in derived:
+                checked = Relation(r, d.rows)
+                assert d == checked and hash(d) == hash(checked)
+    with pytest.raises(ValueError, match="exceeds alphabet size"):
+        Relation(3, (8, 0, 0))
 
 
 def test_is_kappa_extensible_examples():

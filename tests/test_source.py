@@ -37,3 +37,56 @@ def test_modules_use_every_import():
         if (found := _unused_imports(p.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def _unbounded_caches(source: str) -> list[str]:
+    """Caches that grow for the life of the process: functools.cache, and
+    lru_cache with maxsize None."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"cache (line {node.lineno})" for a in node.names if a.name == "cache"]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "cache"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            found.append(f"cache (line {node.lineno})")
+        elif isinstance(node, ast.Call) and getattr(
+            node.func, "attr", getattr(node.func, "id", None)
+        ) == "lru_cache":
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if any(isinstance(v, ast.Constant) and v.value is None for v in sizes):
+                found.append(f"lru_cache (line {node.lineno})")
+    return found
+
+
+def test_unbounded_cache_check_sees_each_form():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@functools.cache\ndef a(): pass\n"
+        "@lru_cache(maxsize=None)\ndef b(): pass\n"
+        "@functools.lru_cache(None)\ndef c(): pass\n"
+        "@lru_cache(maxsize=8)\ndef d(): pass\n"
+        "@lru_cache\ndef e(): pass\n"
+        "cache = {}\n"
+    )
+    assert _unbounded_caches(source) == [
+        "cache (line 2)",
+        "cache (line 3)",
+        "lru_cache (line 5)",
+        "lru_cache (line 7)",
+    ]
+
+
+def test_every_cache_is_bounded():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    unbounded = {
+        p.name: found
+        for p in modules
+        if (found := _unbounded_caches(p.read_text(encoding="utf-8")))
+    }
+    assert unbounded == {}

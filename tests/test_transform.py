@@ -24,8 +24,9 @@ from majinv import (
     words_of_length,
     x_factorization,
 )
+from majinv import transform
 from majinv.mahonian import enumerate_relations
-from majinv.transform import _pivot_classes
+from majinv.transform import MEMO_LETTERS, _memos, _pivot_classes
 
 GT3 = natural_order(3)
 
@@ -264,9 +265,31 @@ def _oracle_gamma_inverse(side, letters):
     return tuple(z for seg in segments for z in seg[1:] + seg[:1])
 
 
+def _all_sides(u):
+    return [None] + [_sides(u, x) for x in range(1, u.size + 1)]
+
+
+def _oracle_psi(sides, letters):
+    img = ()
+    for x in letters:
+        img = _oracle_gamma(sides[x], img) + (x,)
+    return img
+
+
+def _oracle_psi_inverse(sides, letters):
+    """Peel the last letter and undo one gamma, until nothing is left."""
+    out = []
+    while letters:
+        x = letters[-1]
+        out.append(x)
+        letters = _oracle_gamma_inverse(sides[x], letters[:-1])
+    return tuple(reversed(out))
+
+
 def _check_kernel_against_oracle(u, words, factorization=True):
     # words come in length order, so every prefix's oracle image is ready
-    sides = [None] + [_sides(u, x) for x in range(1, u.size + 1)]
+    _memos.cache_clear()
+    sides = _all_sides(u)
     oracle_psi = {(): ()}
     for w in words:
         ls = w.letters
@@ -274,9 +297,12 @@ def _check_kernel_against_oracle(u, words, factorization=True):
             x = ls[-1]
             oracle_psi[ls] = _oracle_gamma(sides[x], oracle_psi[ls[:-1]]) + (x,)
         assert psi(u, w).letters == oracle_psi[ls]
+        assert psi_inverse(u, w).letters == _oracle_psi_inverse(sides, ls)
         for x in range(1, u.size + 1):
             side = sides[x]
-            assert gamma(u, x, w).letters == _oracle_gamma(side, ls)
+            img = gamma(u, x, w)
+            assert img == Word(_oracle_gamma(side, ls), u.size)
+            assert hash(img) == hash(Word(img.letters, u.size))
             assert gamma_inverse(u, x, w).letters == _oracle_gamma_inverse(side, ls)
             if ls and factorization:
                 case, parts = x_factorization(u, w, x)
@@ -310,6 +336,13 @@ def test_psi_round_trip_on_256_letters():
     assert psi(u, psi_inverse(u, w)) == w
     order = natural_order(r)
     assert psi_inverse(order, psi(order, w)) == w
+    # fresh memos: the whole chain runs, and must not recurse per letter
+    _memos.cache_clear()
+    order2 = natural_order(2)
+    long = Word(tuple(rng.randint(1, 2) for _ in range(3000)), 2)
+    img = psi(order2, long)
+    _memos.cache_clear()
+    assert psi_inverse(order2, img) == long
 
 
 def test_equal_relations_share_one_pivot_class_entry():
@@ -321,6 +354,10 @@ def test_equal_relations_share_one_pivot_class_entry():
     assert _pivot_classes(a) is _pivot_classes(b)
     info = _pivot_classes.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+    _memos.cache_clear()
+    assert _memos(a) is _memos(b)
+    info = _memos.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_pivot_class_cache_stays_bounded():
@@ -330,3 +367,95 @@ def test_pivot_class_cache_stays_bounded():
         u = Relation.from_mask(2, mask)
         assert psi_inverse(u, psi(u, w)) == w
         assert _pivot_classes.cache_info().currsize <= maxsize
+
+
+# --- the psi memo: hits, misses, evictions and its letter budget ---
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(transform, name)
+
+    def counted(cls, letters):
+        calls.append(None)
+        return inner(cls, letters)
+
+    monkeypatch.setattr(transform, name, counted)
+    return calls
+
+
+def test_memo_orders_agree_with_oracle(monkeypatch):
+    gammas = _count_calls(monkeypatch, "_gamma_letters")
+    peels = _count_calls(monkeypatch, "_gamma_inverse_letters")
+    for r in (1, 2):
+        words = [w for n in range(7) for w in words_of_length(r, n)]
+        nonempty = sum(1 for w in words if w.letters)
+        letters = sum(len(w) for w in words)
+        rels = list(enumerate_relations(r))
+        for u in rels:
+            sides = _all_sides(u)
+            # length order: each call is one step on its stored prefix
+            _memos.cache_clear()
+            gammas.clear()
+            peels.clear()
+            for w in words:
+                assert psi(u, w).letters == _oracle_psi(sides, w.letters)
+                assert psi_inverse(u, w).letters == _oracle_psi_inverse(sides, w.letters)
+            assert len(gammas) == len(peels) == nonempty
+            # reverse order: no prefix is stored, and none gets stored
+            _memos.cache_clear()
+            gammas.clear()
+            peels.clear()
+            for w in reversed(words):
+                assert psi(u, w).letters == _oracle_psi(sides, w.letters)
+                assert psi_inverse(u, w).letters == _oracle_psi_inverse(sides, w.letters)
+            assert len(gammas) == len(peels) == letters
+        # two relations in turn: every call evicts the other's memos
+        for u, v in zip(rels, rels[1:] + rels[:1]):
+            pair = [(rel, _all_sides(rel)) for rel in (u, v)]
+            gammas.clear()
+            peels.clear()
+            for w in words:
+                for rel, sides in pair:
+                    assert psi(rel, w).letters == _oracle_psi(sides, w.letters)
+                for rel, sides in pair:
+                    back = _oracle_psi_inverse(sides, w.letters)
+                    assert psi_inverse(rel, w).letters == back
+            assert len(gammas) == len(peels) == 2 * letters
+
+
+def test_psi_inverse_ignores_the_psi_memo():
+    u = natural_order(2)
+    sides = _all_sides(u)
+    words = [w for n in range(6) for w in words_of_length(2, n)]
+    _memos.cache_clear()
+    _, psi_memo, _ = _memos(u)
+    for w in words:
+        psi_memo.results[w.letters] = w.letters[::-1]
+    for w in words:
+        assert psi_inverse(u, w).letters == _oracle_psi_inverse(sides, w.letters)
+
+
+def test_memo_letter_count_stays_within_budget(monkeypatch):
+    # a small budget, so that 500 prefixes (125,250 letters) overflow it often
+    budget = 5000
+    assert budget < MEMO_LETTERS
+    monkeypatch.setattr(transform, "MEMO_LETTERS", budget)
+    u = natural_order(4)
+    sides = _all_sides(u)
+    rng = random.Random(16)
+    word = tuple(rng.randint(1, 4) for _ in range(500))
+    _memos.cache_clear()
+    _, psi_memo, inverse_memo = _memos(u)
+    for n in range(1, len(word) + 1):
+        assert psi_inverse(u, psi(u, Word(word[:n], 4))).letters == word[:n]
+        for memo in (psi_memo, inverse_memo):
+            assert memo.letters == sum(map(len, memo.results)) <= budget
+    assert 0 < psi_memo.letters and 0 < inverse_memo.letters
+    assert psi(u, Word(word, 4)).letters == _oracle_psi(sides, word)
+    # a key longer than the whole budget is computed but not stored
+    monkeypatch.setattr(transform, "MEMO_LETTERS", 8)
+    _memos.cache_clear()
+    _, psi_memo, _ = _memos(u)
+    assert psi(u, Word(word[:9], 4)).letters == _oracle_psi(sides, word[:9])
+    assert psi_memo.letters == 0 and psi_memo.results == {}

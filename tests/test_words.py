@@ -41,6 +41,11 @@ def test_word_validation():
         Word((3,), 2)
     with pytest.raises(ValueError):
         Word((), 0)
+    assert Word([2, 1], 2) == Word((2, 1), 2)  # any sequence is stored as a tuple
+    with pytest.raises(ValueError):
+        Word((0,), 3)
+    with pytest.raises(ValueError):
+        Word((4,), 3)
     with pytest.raises(ValueError):
         Composition((1, -1))
 
@@ -65,11 +70,19 @@ def test_enumerate_class_matches_class_size_exhaustively():
                 assert letters == sorted(letters)
                 assert len(set(letters)) == len(letters) == class_size(c)
                 assert all(composition_of(w) == c for w in seen)
+                # built unchecked, yet equal to and hashing like checked words
+                checked = [Word(ls, r) for ls in letters]
+                assert seen == checked
+                assert [hash(w) for w in seen] == [hash(w) for w in checked]
 
 
 def test_words_of_length_counts():
     assert sum(1 for _ in words_of_length(3, 4)) == 81
     assert [w.letters for w in words_of_length(2, 1)] == [(1,), (2,)]
+    for w in words_of_length(3, 3):
+        assert w == Word(w.letters, 3) and hash(w) == hash(Word(w.letters, 3))
+    with pytest.raises(ValueError):
+        list(words_of_length(0, 0))
 
 
 def test_compositions_of_weight_counts():
