@@ -71,7 +71,6 @@ from .words import (
 RELATION_ENUM_CAP = 4  # single-relation sweeps walk 2**(r*r) masks
 PAIR_SWEEP_CAP = 3  # pair sweeps walk 4**(r*r) ordered pairs
 STAGE_CELL_BUDGET = 1 << 16  # word cells per sweep chunk; bounds the temporaries
-TABLE_BYTE_BUDGET = 1 << 30  # bitmask tables held at once, well under the RAM
 
 
 @dataclass
@@ -187,15 +186,15 @@ def _mask_table(cells: np.ndarray) -> np.ndarray:
 def _check_table_bytes(r: int, lengths: range, tables: int) -> None:
     """Refuse before allocating ``tables`` mask tables with 2**(r*r) rows and
     one int64 column per word over [r] whose length is in ``lengths``, when
-    together they would take more than TABLE_BYTE_BUDGET bytes."""
-    words_allowed = TABLE_BYTE_BUDGET // (tables * (1 << (r * r)) * 8)
+    together they would take more than qseries.BYTE_BUDGET bytes."""
+    words_allowed = qseries.BYTE_BUDGET // (tables * (1 << (r * r)) * 8)
     nwords = 0
     for n in lengths:
         nwords += r ** min(n, 64)  # for r >= 2, r**64 words exceed any budget
         if nwords > words_allowed:
             raise ValueError(
                 f"refusing to build {tables} bitmask tables over {nwords:,} or more "
-                f"words: they exceed the budget of {TABLE_BYTE_BUDGET:,} bytes"
+                f"words: they exceed the budget of {qseries.BYTE_BUDGET:,} bytes"
             )
 
 

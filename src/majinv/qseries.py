@@ -20,6 +20,15 @@ Enumerating the class and evaluating every word
 (``words.enumerate_class`` with ``MajInvStatistic.evaluate``) computes the
 same polynomial from the definitions; the tests keep it as the brute-force
 oracle of the walk.
+
+A letter absent from the class never occurs in a prefix, so the polynomial
+depends only on the restricted key: the rows of U and V restricted to the
+support {z : c(z) > 0}, relabelled 0..k-1 in order, and the tuple of
+non-zero counts.  The walk is memoized on that key, and the restriction on
+(U, V, support).  The traffic is the class certificates (macmahon,
+product-formula, applications), which score many statistics on thousands
+of small classes: statistics that agree on a support, and classes that
+differ only by letters they leave out, share one walk.
 """
 
 from __future__ import annotations
@@ -27,11 +36,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable
 
 from .statistics import MajInvStatistic
 from .words import Composition, class_size, compositions_up_to
 from .relations import Bipartition, Relation, json_int
+
+BYTE_BUDGET = 1 << 30  # largest table or coefficient list built at once, well under the RAM
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,37 +215,68 @@ def q_multinomial(c: Composition) -> QPolynomial:
     return _q_multinomial_cached(c.counts)
 
 
-@lru_cache(maxsize=4)
-def _step_tables(u: Relation, v: Relation):
-    """Lookups of the walk: [x U y] by rows, the letters y with z V y, and
-    [y V y].  Cached, since a certificate scores one statistic on many
-    classes; every call shares the lists, so the walk only reads them."""
-    r = u.size
-    u_hit = [[(row >> y) & 1 for y in range(r)] for row in u.rows]
-    v_out = [[y for y in range(r) if (row >> y) & 1] for row in v.rows]
-    v_self = [(v.rows[y] >> y) & 1 for y in range(r)]
-    return u_hit, v_out, v_self
+# the classes bench workload: 2,726 keys, 41,442 hits in 44,168 calls
+@lru_cache(maxsize=4096)
+def _restrict(u: Relation, v: Relation, support: tuple[int, ...]):
+    """The rows of U and V restricted to the letters of ``support`` and
+    relabelled 0..k-1 in order: all of the statistic that a class with this
+    support can see.  Cached, since certificates score one statistic on many
+    classes with the same support."""
+
+    def rows(rel: Relation) -> tuple[int, ...]:
+        return tuple(
+            sum(((rel.rows[x] >> y) & 1) << j for j, y in enumerate(support))
+            for x in support
+        )
+
+    return rows(u), rows(v)
 
 
 def distribution(stat: MajInvStatistic, c: Composition) -> QPolynomial:
     """Sum of q**stat(w) over the rearrangement class of c.
 
-    Walks the prefix tree of the class depth first with the appending
-    recurrence of the module docstring.  A prefix with one letter kind left
-    has a single completion, a run of m letters y, whose gain is summed in
-    closed form: the recurrence applied m times.
+    The polynomial of the restricted key of the module docstring, walked
+    once and then read from the memo.  A class whose coefficient list would
+    take more than BYTE_BUDGET bytes is refused before anything is built.
     """
     if stat.size != c.size:
         raise ValueError("statistic and composition alphabet sizes differ")
     n = c.weight
     if n == 0:
         return QPolynomial.one()
-    r = c.size
-    counts = [0] * (n * (n - 1) + 1)  # maj + inv each at most n(n-1)/2
-    u_hit, v_out, v_self = _step_tables(stat.maj_relation, stat.inv_relation)
-    left = list(c.counts)
-    v_gain = [0] * r  # v_gain[y] = sum over z of used_z*[z V y]
-    alphabet = [y for y in range(r) if left[y]]
+    if 8 * (n * (n - 1) + 1) > BYTE_BUDGET:
+        raise ValueError(
+            f"refusing a class of weight {n:,}: its {n * (n - 1) + 1:,} "
+            f"coefficients exceed the budget of {BYTE_BUDGET:,} bytes"
+        )
+    support = tuple(compress(range(c.size), c.counts))
+    u_rows, v_rows = _restrict(stat.maj_relation, stat.inv_relation, support)
+    return _walk(u_rows, v_rows, tuple(filter(None, c.counts)))
+
+
+# the classes bench workload: 1,685 keys, 42,483 hits in 44,168 calls
+@lru_cache(maxsize=4096)
+def _walk(
+    u_rows: tuple[int, ...], v_rows: tuple[int, ...], counts: tuple[int, ...]
+) -> QPolynomial:
+    """Distribution of maj'_U + inv'_V, U and V given by their bit rows over
+    the letters 0..k-1, on the class with the positive letter counts
+    ``counts``.
+
+    Walks the prefix tree of the class depth first with the appending
+    recurrence of the module docstring.  A prefix with one letter kind left
+    has a single completion, a run of m letters y, whose gain is summed in
+    closed form: the recurrence applied m times.
+    """
+    k = len(counts)
+    n = sum(counts)
+    coeffs = [0] * (n * (n - 1) + 1)  # maj + inv each at most n(n-1)/2
+    u_hit = [[(row >> y) & 1 for y in range(k)] for row in u_rows]
+    v_out = [[y for y in range(k) if (row >> y) & 1] for row in v_rows]
+    v_self = [(v_rows[y] >> y) & 1 for y in range(k)]
+    left = list(counts)
+    v_gain = [0] * k  # v_gain[y] = sum over z of used_z*[z V y]
+    alphabet = list(range(k))  # the inner loops iterate a list faster than a range
 
     def walk(p: int, x: int, value: int, kinds: int) -> None:
         # p letters placed, the last one x (any letter at p = 0, where the
@@ -249,7 +292,7 @@ def distribution(stat: MajInvStatistic, c: Composition) -> QPolynomial:
                         gain += (m - 1) * p + runs
                     if v_self[y]:
                         gain += runs
-                    counts[value + gain] += 1
+                    coeffs[value + gain] += 1
                     return
         for y in alphabet:
             m = left[y]
@@ -264,9 +307,9 @@ def distribution(stat: MajInvStatistic, c: Composition) -> QPolynomial:
                     v_gain[t] -= 1
                 left[y] = m
 
-    walk(0, 0, 0, len(alphabet))
+    walk(0, 0, 0, k)
     del walk  # walk refers to itself; unbinding frees it now, not at the next GC
-    return QPolynomial.from_coeffs(counts)
+    return QPolynomial.from_coeffs(coeffs)
 
 
 def is_mahonian_up_to(stat: MajInvStatistic, max_weight: int) -> bool:

@@ -10,9 +10,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
+
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")  # ASCII digits, no sign, no leading zero
+
+
+def _decimal(token: str, what: str) -> int:
+    """The integer written canonically as ``token``; int() alone would also
+    take "+1", "02", "1_0" and non-ASCII digits."""
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(f"bad {what} {token!r}: expected digits 0-9, no leading zero")
+    return int(token)
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,8 +45,7 @@ class Word:
     @classmethod
     def parse(cls, text: str, size: int) -> "Word":
         """Parse the whitespace-separated text form; "" is the empty word."""
-        parts = text.split()
-        return cls(tuple(int(p) for p in parts), size)
+        return cls(tuple(_decimal(p, "letter") for p in text.split()), size)
 
     def text(self) -> str:
         return " ".join(str(x) for x in self.letters)
@@ -80,7 +90,7 @@ class Composition:
     @classmethod
     def parse(cls, text: str) -> "Composition":
         """Parse the comma-separated text form, e.g. "1,1,1"."""
-        return cls(tuple(int(p) for p in text.split(",")))
+        return cls(tuple(_decimal(p, "count") for p in text.split(",")))
 
     def text(self) -> str:
         return ",".join(str(c) for c in self.counts)

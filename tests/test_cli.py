@@ -6,7 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from majinv.cli import main
+from majinv.qseries import BYTE_BUDGET
 from majinv.relations import JSON_SIZE_CAP, Relation, natural_order
+from majinv.words import Composition, class_size
 
 
 @pytest.fixture()
@@ -639,12 +641,17 @@ word_token = st.one_of(
 )
 
 
+def _is_decimal(token: str) -> bool:
+    """Canonical ASCII decimal: digits only, and no leading zero but in "0"."""
+    return token.isascii() and token.isdigit() and (token == "0" or token[0] != "0")
+
+
 def _word_or_none(text: str, r: int):
     """The letters of a word over [r] written as text, or None if malformed."""
-    try:
-        letters = [int(t) for t in text.split()]
-    except ValueError:
+    tokens = text.split()
+    if not all(_is_decimal(t) for t in tokens):
         return None
+    letters = [int(t) for t in tokens]
     return letters if all(1 <= x <= r for x in letters) else None
 
 
@@ -681,6 +688,76 @@ def test_fuzzed_transform_argv(capsys, tmp_path, r, mask, tokens, sep, inverse, 
     back_flags = [] if inverse else ["--inverse"]
     code, out, _ = run(capsys, "transform", "--relation", str(path), "--word", image, *back_flags)
     assert code == 0 and [int(t) for t in out.split()] == expected
+
+
+count_token = st.one_of(
+    st.integers(0, 3).map(str),
+    st.integers(-3, -1).map(str),
+    st.sampled_from(
+        ["", "+1", "02", "1_0", " 1", "\u0663", "1.0", "10000000", "11586", "9" * 20]
+    ),
+    st.text(max_size=2),
+)
+
+
+def _counts_or_none(text: str):
+    """The counts of a composition written as text, or None if malformed."""
+    tokens = text.split(",")
+    return [int(t) for t in tokens] if all(_is_decimal(t) for t in tokens) else None
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    tokens=st.lists(count_token, min_size=1, max_size=3),
+    spec=st.sampled_from(["inv", "maj", "kmaj:2", "kmaj:0", "pair"]),
+    pair_size=st.integers(1, 3),
+    masks=st.tuples(st.integers(0, 511), st.integers(0, 511)),
+)
+def test_fuzzed_distribution_argv(capsys, tmp_path, tokens, spec, pair_size, masks):
+    text = ",".join(tokens)
+    if spec == "pair":
+        paths = []
+        for name, mask in zip("uv", masks):
+            path = tmp_path / f"{name}.json"
+            rel = Relation.from_mask(pair_size, mask % (1 << (pair_size * pair_size)))
+            path.write_text(json.dumps(rel.to_json_dict()))
+            paths.append(str(path))
+        spec = f"pair:{paths[0]}:{paths[1]}"
+    try:
+        code, out, err = run(
+            capsys, "distribution", "--stat", spec, "--composition", text, "--json"
+        )
+    except SystemExit as exc:  # argparse refuses e.g. a composition written as an option
+        code, out, err = exc.code, "", capsys.readouterr().err
+    assert "Traceback" not in err
+    counts = _counts_or_none(text)
+    n = sum(counts) if counts else 0
+    malformed = (
+        counts is None
+        or spec == "kmaj:0"
+        or (spec.startswith("pair:") and pair_size != len(counts))
+        or 8 * (n * (n - 1) + 1) > BYTE_BUDGET  # the coefficient list is refused
+    )
+    if malformed:
+        assert code == 1 and "error:" in err
+        return
+    assert code == 0, err
+    assert sum(json.loads(out)["coeffs"]) == class_size(Composition(tuple(counts)))
+
+
+def test_distribution_refuses_an_oversized_class_before_allocating(capsys):
+    # at weight n the walk holds n(n-1)+1 coefficient slots of 8 bytes, and
+    # 11586 is the least weight whose list passes the 1 GiB budget
+    assert 8 * (11585 * 11584 + 1) <= BYTE_BUDGET < 8 * (11586 * 11585 + 1)
+    for text in ("11586", "10000000", "5000,6586"):
+        code, out, err = run(
+            capsys, "distribution", "--stat", "inv", "--composition", text
+        )
+        assert code == 1 and out == "" and err.startswith("error:") and "budget" in err, text
 
 
 def test_check_kappa_extensible_on_256_letters(capsys, tmp_path):

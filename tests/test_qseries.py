@@ -24,8 +24,9 @@ from majinv import (
     q_factorial,
     q_integer,
     q_multinomial,
+    qseries,
 )
-from majinv.words import compositions_of_weight, enumerate_class
+from majinv.words import compositions_of_weight, compositions_up_to, enumerate_class
 
 
 def poly(*coeffs):
@@ -235,6 +236,73 @@ def test_distribution_edge_classes():
         distribution(full, Composition((1, 1)))
     with pytest.raises(ValueError):
         distribution(full, Composition((0, 0, 0, 0)))
+
+
+def _clear_memo():
+    qseries._restrict.cache_clear()
+    qseries._walk.cache_clear()
+
+
+def test_memo_matches_oracle_in_shuffled_orders():
+    # a cold memo filled in two different orders, with classes that leave
+    # letters out, must give the oracle's polynomial on every call
+    rng = random.Random(2008)
+    for r in (1, 2, 3):
+        top = 1 << (r * r)
+        masks = [(rng.randrange(top), rng.randrange(top)) for _ in range(10)]
+        stats = {
+            MajInvStatistic(Relation.from_mask(r, u), Relation.from_mask(r, v))
+            for u, v in masks
+        }
+        cases = [(stat, c) for stat in stats for c in compositions_up_to(r, 4)]
+        expected = {case: _brute_force(*case) for case in cases if case[1].weight}
+        for _ in range(2):
+            rng.shuffle(cases)
+            _clear_memo()
+            for case in cases:
+                if case[1].weight:
+                    assert distribution(*case) == expected[case], case
+
+
+def test_memo_entry_is_shared_exactly_when_the_support_agrees():
+    # on the support {1, 3} of c, a and b are U = {(1,3)}, V = {(3,1)};
+    # elsewhere they differ
+    c = Composition((2, 0, 1))
+    a = MajInvStatistic(Relation.from_pairs(3, [(1, 3)]), Relation.from_pairs(3, [(3, 1)]))
+    b = MajInvStatistic(
+        Relation.from_pairs(3, [(1, 3), (2, 1), (2, 2)]),
+        Relation.from_pairs(3, [(3, 1), (1, 2), (3, 2)]),
+    )
+    _clear_memo()
+    assert distribution(a, c) == distribution(b, c) == _brute_force(a, c)
+    assert (qseries._walk.cache_info().hits, qseries._walk.cache_info().currsize) == (1, 1)
+    # the same restricted key from another alphabet position: letters 2 < 3
+    # play the parts of 1 < 3
+    moved = MajInvStatistic(Relation.from_pairs(3, [(2, 3)]), Relation.from_pairs(3, [(3, 2)]))
+    assert distribution(moved, Composition((0, 2, 1))) == distribution(a, c)
+    assert qseries._walk.cache_info().currsize == 1
+    # differing on the support in U's diagonal, in V alone, or in the
+    # counts gives a new entry each
+    others = [
+        (MajInvStatistic(Relation.from_pairs(3, [(1, 3), (1, 1)]), a.inv_relation), c),
+        (MajInvStatistic(a.maj_relation, Relation.from_pairs(3, [(3, 1), (1, 3)])), c),
+        (a, Composition((1, 0, 2))),
+    ]
+    for size, (stat, cls) in enumerate(others, start=2):
+        assert distribution(stat, cls) == _brute_force(stat, cls)
+        assert qseries._walk.cache_info().currsize == size
+
+
+def test_distribution_refuses_a_class_past_the_byte_budget(monkeypatch):
+    # at weight n the coefficient list has n(n-1)+1 slots of 8 bytes; the
+    # budget is checked before the memo, so a cached class is refused too
+    stat = inv_stat(2)
+    assert distribution(stat, Composition((4, 3))) == q_multinomial(Composition((4, 3)))
+    monkeypatch.setattr(qseries, "BYTE_BUDGET", 8 * (6 * 5 + 1))
+    assert distribution(stat, Composition((3, 3))) == q_multinomial(Composition((3, 3)))
+    for c in (Composition((4, 3)), Composition((7, 0))):
+        with pytest.raises(ValueError, match="budget"):
+            distribution(stat, c)
 
 
 coeffs_st = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6)
