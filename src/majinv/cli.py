@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import mahonian, qseries, relations, statistics, transform
-from .words import Composition, Word
+from .words import Composition, Word, _decimal
 
 
 class UsageError(Exception):
@@ -45,12 +45,21 @@ def _load_relation(path: str) -> relations.Relation:
     return relations.Relation.from_json_dict(_load_json(path))
 
 
+def _int_option(text: str) -> int:
+    """argparse type of the integer options: a canonical decimal, signed so
+    that the suites, not the parser, refuse a negative size or weight."""
+    try:
+        return _decimal(text, "integer", signed=True)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _parse_gmap(f_text: str, g_text: str) -> relations.GMap:
-    f = tuple(int(p) for p in f_text.split())
+    f = tuple(_decimal(p, "f letter") for p in f_text.split())
     g: list[int | float] = []
     for part in g_text.split(","):
         part = part.strip()
-        g.append(relations.INF if part == "inf" else int(part))
+        g.append(relations.INF if part == "inf" else _decimal(part, "g value"))
     return relations.GMap(f, tuple(g))
 
 
@@ -66,7 +75,7 @@ def _parse_stat(
         if spec == "maj":
             return statistics.maj_stat(size)
         try:
-            k = int(spec.split(":", 1)[1])
+            k = _decimal(spec.split(":", 1)[1], "k")
         except ValueError as exc:
             raise UsageError(f"bad kmaj spec '{spec}'") from exc
         return statistics.k_maj_stat(size, k)
@@ -220,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a statistic on a word")
     p.add_argument("--stat", required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--size", type=int)
+    p.add_argument("--size", type=_int_option)
     p.add_argument("--sets", help="JSON list of integer lists for setmaj")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval)
@@ -249,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
     p.add_argument("suite", choices=list(VERIFY_SUITES))
-    p.add_argument("--size", type=int, default=3)
-    p.add_argument("--max-weight", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=3)
+    p.add_argument("--size", type=_int_option, default=3)
+    p.add_argument("--max-weight", type=_int_option, default=4)
+    p.add_argument("--max-len", type=_int_option, default=3)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("enumerate", help="list the mahonian statistics of an order")

@@ -28,14 +28,19 @@ since a relation is typically applied to many words in a row.
 ``psi`` and ``psi_inverse`` also remember their results.  ``_memos(u)``
 holds, for the one most recent relation, the pivot-class table, a memo of
 psi images and a memo of psi_inverse preimages, each keyed by the argument's
-letters.  It is an ``lru_cache(maxsize=1)``: keeping four relations raised
-the peak memory of the psi bench by 5.5% and saved no time.  A call on w x
-first looks up w x; on a miss it takes the stored image of w and applies one
-gamma, and only when w is missing too does it run the whole chain,
-iteratively and without storing the intermediate images.  psi_inverse peels
-the last letter once and looks the rest up in its own memo; it never reads
-the psi memo, so a round trip checks two independent computations.  Each
-memo is emptied when the letters of its keys would pass MEMO_LETTERS.
+letters.  Keeping four relations raised the peak memory of the psi bench by
+5.5% and saved no time, so one is held, in a module slot that compares the
+relation by identity before equality: callers pass the same Relation object
+for many words in a row, and ``is`` settles that case without the call to
+the Python-level ``Relation.__hash__`` that an ``lru_cache`` lookup makes.
+An equal but distinct relation still finds the held memos; any other
+relation replaces them.  A call on w x first looks up w x; on a miss it
+takes the stored image of w and applies one gamma, and only when w is
+missing too does it run the whole chain, iteratively and without storing
+the intermediate images.  psi_inverse peels the last letter once and looks
+the rest up in its own memo; it never reads the psi memo, so a round trip
+checks two independent computations.  Each memo is emptied when the letters
+of its keys would pass MEMO_LETTERS.
 
 The gain is for prefix-closed traffic, where the one-letter-shorter
 subproblem was asked for earlier with the same relation: all words up to
@@ -50,7 +55,9 @@ from functools import lru_cache
 from typing import Sequence
 
 from .relations import Relation
-from .words import Word, _trusted_word, check_alphabet
+from .words import Word, _set_letters, _set_size, _trusted_word, check_alphabet
+
+_new = object.__new__  # psi and psi_inverse build their Word as _trusted_word does
 
 CASE_PIVOTS_RELATED = "i"  # pivots lie in R_x
 CASE_PIVOTS_UNRELATED = "ii"  # pivots lie in L_x
@@ -88,10 +95,26 @@ class _Memo:
         self.letters += n
 
 
-@lru_cache(maxsize=1)
-def _memos(u: Relation) -> tuple[tuple[tuple[int, ...], ...], _Memo, _Memo]:
-    """(pivot-class table, psi memo, psi_inverse memo) of one relation."""
-    return _pivot_classes(u), _Memo(), _Memo()
+# the one relation whose memos are held: (relation, pivot-class table, psi
+# memo, psi_inverse memo); the relation slot is None while nothing is held
+_NOTHING_HELD = (None, (), None, None)
+_held: tuple = _NOTHING_HELD
+
+
+def _memos(u: Relation) -> tuple:
+    """The held (relation, table, psi memo, psi_inverse memo), swapped to u
+    first unless u is, or equals, the held relation."""
+    global _held
+    held = _held
+    if held[0] is not u and held[0] != u:
+        held = _held = (u, _pivot_classes(u), _Memo(), _Memo())
+    return held
+
+
+def _clear_memos() -> None:
+    """Drop the held relation and its memos."""
+    global _held
+    _held = _NOTHING_HELD
 
 
 def _gamma_letters(cls: tuple[int, ...], letters: Sequence[int]) -> list[int]:
@@ -175,7 +198,7 @@ def _psi_letters(u: Relation, ls: tuple[int, ...]) -> tuple[int, ...]:
     """Letters of psi(u, ls), read from or added to the psi memo of u."""
     if not ls:
         return ls
-    table, memo, _ = _memos(u)
+    _, table, memo, _ = _memos(u)
     results = memo.results
     img = results.get(ls)
     if img is not None:
@@ -190,7 +213,12 @@ def _psi_letters(u: Relation, ls: tuple[int, ...]) -> tuple[int, ...]:
     out = _gamma_letters(table[x], prev)
     out.append(x)
     img = tuple(out)
-    memo.store(ls, img)
+    n = len(ls)
+    if memo.letters + n <= MEMO_LETTERS:  # the store, inline while in budget
+        results[ls] = img
+        memo.letters += n
+    else:
+        memo.store(ls, img)
     return img
 
 
@@ -198,7 +226,7 @@ def _psi_inverse_letters(u: Relation, ls: tuple[int, ...]) -> tuple[int, ...]:
     """Letters of psi_inverse(u, ls), from or into the psi_inverse memo of u."""
     if not ls:
         return ls
-    table, _, memo = _memos(u)
+    _, table, _, memo = _memos(u)
     results = memo.results
     pre = results.get(ls)
     if pre is not None:
@@ -216,17 +244,29 @@ def _psi_inverse_letters(u: Relation, ls: tuple[int, ...]) -> tuple[int, ...]:
         peeled.reverse()
         head = tuple(peeled)
     pre = head + (x,)
-    memo.store(ls, pre)
+    n = len(ls)
+    if memo.letters + n <= MEMO_LETTERS:  # the store, inline while in budget
+        results[ls] = pre
+        memo.letters += n
+    else:
+        memo.store(ls, pre)
     return pre
 
 
 def psi(u: Relation, w: Word) -> Word:
     """Apply the transformation to w; the image stays in the class of w."""
     check_alphabet(u.size, w)
-    return _trusted_word(_psi_letters(u, w.letters), w.size)
+    # the body of _trusted_word, inline: the image rearranges w's letters
+    img = _new(Word)
+    _set_letters(img, _psi_letters(u, w.letters))
+    _set_size(img, w.size)
+    return img
 
 
 def psi_inverse(u: Relation, w: Word) -> Word:
     """Invert psi by peeling the last letter and undoing one gamma per step."""
     check_alphabet(u.size, w)
-    return _trusted_word(_psi_inverse_letters(u, w.letters), w.size)
+    pre = _new(Word)
+    _set_letters(pre, _psi_inverse_letters(u, w.letters))
+    _set_size(pre, w.size)
+    return pre

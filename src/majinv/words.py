@@ -16,12 +16,14 @@ from functools import lru_cache
 from typing import Iterator
 
 _DECIMAL = re.compile(r"0|[1-9][0-9]*")  # ASCII digits, no sign, no leading zero
+_SIGNED = re.compile(r"0|-?[1-9][0-9]*")  # the same with "-" before a non-zero
 
 
-def _decimal(token: str, what: str) -> int:
-    """The integer written canonically as ``token``; int() alone would also
-    take "+1", "02", "1_0" and non-ASCII digits."""
-    if not _DECIMAL.fullmatch(token):
+def _decimal(token: str, what: str, signed: bool = False) -> int:
+    """The integer written canonically as ``token``, with a leading "-" only
+    when ``signed``; int() alone would also take "+1", "02", "1_0", "-0" and
+    non-ASCII digits."""
+    if not (_SIGNED if signed else _DECIMAL).fullmatch(token):
         raise ValueError(f"bad {what} {token!r}: expected digits 0-9, no leading zero")
     return int(token)
 
@@ -108,9 +110,15 @@ class Composition:
 
 def check_alphabet(size: int, w: Word, x: int | None = None) -> None:
     """Raise ValueError unless the letters of w, and the letter x when given,
-    lie in [size].  A Word already keeps its letters >= 1, so only the
-    largest one is compared."""
-    if w.letters and max(w.letters) > size:
+    lie in [size].
+
+    Every Word keeps its letters in [w.size]: the constructor checks them,
+    and ``_trusted_word`` is only given letters known to lie there (pieces
+    or rearrangements of a checked word, or letters generated in range).  So
+    a word over at most ``size`` letters passes without a scan; only a word
+    over a larger alphabet has its largest letter read.
+    """
+    if w.size > size and w.letters and max(w.letters) > size:
         raise ValueError(f"word letters exceed alphabet [{size}]")
     if x is not None and not 1 <= x <= size:
         raise ValueError(f"letter {x} outside alphabet [{size}]")

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from majinv.cli import main
+from majinv.cli import VERIFY_SUITES, main
+from majinv import (
+    INF,
+    GMap,
+    Word,
+    gmap_stat,
+    inv_stat,
+    k_maj_stat,
+    maj_stat,
+)
 from majinv.qseries import BYTE_BUDGET
 from majinv.relations import JSON_SIZE_CAP, Relation, natural_order
 from majinv.words import Composition, class_size
@@ -747,6 +756,179 @@ def test_fuzzed_distribution_argv(capsys, tmp_path, tokens, spec, pair_size, mas
         return
     assert code == 0, err
     assert sum(json.loads(out)["coeffs"]) == class_size(Composition(tuple(counts)))
+
+
+def _is_integer(token: str) -> bool:
+    """A canonical ASCII decimal, or "-" followed by a non-zero one."""
+    digits = token[1:] if token.startswith("-") else token
+    return _is_decimal(digits) and (digits == token or digits != "0")
+
+
+def _loose_int(token: str) -> int:
+    """int(token), or 0 where int() refuses it too."""
+    try:
+        return int(token)
+    except ValueError:
+        return 0
+
+
+# argv integers the CLI must refuse as written: int() alone takes several
+malformed_int = st.one_of(
+    st.sampled_from(
+        ["", "+1", "02", "-02", "0_2", "-0", "\u0663", "-\u0663", "1.0", " 2", "2 ", "x"]
+        + ["--", "-x"]  # argparse reads these as options
+    ),
+    # int() maps what it takes of these to small numbers, so a parser that
+    # fell back to int() runs small sweeps and fails, instead of a long one
+    st.text(max_size=2).filter(lambda t: not _is_integer(t) and abs(_loose_int(t)) <= 3),
+)
+
+
+def _run_argv(capsys, *argv):
+    """(exit code, stdout, stderr) of main, argparse exits included."""
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+def _eval_value(spec: str, size_token, word: str):
+    """The value eval must print, or None when it must refuse the argv: a
+    token that is not a canonical integer (a sign only on --size), or
+    numbers the library refuses."""
+    parts = spec.split(":")
+    if spec.startswith("kmaj:"):
+        spec_ok = _is_decimal(parts[1]) and len(parts) == 2
+    elif spec.startswith("fg:"):
+        spec_ok = (
+            len(parts) == 3
+            and all(_is_decimal(t) for t in parts[1].split())
+            and all(p.strip() == "inf" or _is_decimal(p.strip()) for p in parts[2].split(","))
+        )
+    else:
+        spec_ok = True
+    if not (
+        spec_ok
+        and (size_token is None or _is_integer(size_token))
+        and all(_is_decimal(t) for t in word.split())
+    ):
+        return None
+    size = None if size_token is None else int(size_token)
+    try:
+        if spec.startswith("fg:"):
+            f = tuple(int(t) for t in parts[1].split())
+            g = tuple(INF if p.strip() == "inf" else int(p) for p in parts[2].split(","))
+            stat = gmap_stat(GMap(f, g))
+        elif size is None:
+            return None
+        elif spec.startswith("kmaj:"):
+            stat = k_maj_stat(size, int(parts[1]))
+        else:
+            stat = (inv_stat if spec == "inv" else maj_stat)(size)
+        if size is not None and size != stat.size:
+            return None
+        return stat.evaluate(Word(tuple(int(t) for t in word.split()), stat.size))
+    except ValueError:
+        return None
+
+
+def _mostly(valid):
+    """Tokens from ``valid`` about three times in four, else malformed ones;
+    one_of(valid, valid, valid, malformed_int) would not weight them so."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else malformed_int)
+
+
+letter = st.integers(1, 3).map(str)
+FG_SPECS = ["fg:1:inf", "fg:2 1:inf,inf", "fg:1 2 3:2,3,inf", "fg:3 1 2:3, inf,inf"]
+
+
+def _respell(spec: str, i: int, how: int) -> str:
+    """``spec`` with its i-th digit (mod their count) spelled so that int()
+    still reads it: "+3", "03" or an Arabic-Indic digit."""
+    places = [k for k, ch in enumerate(spec) if ch.isdigit()]
+    k = places[i % len(places)]
+    digit = spec[k]
+    spelled = ("+" + digit, "0" + digit, chr(0x660 + int(digit)))[how]
+    return spec[:k] + spelled + spec[k + 1 :]
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    size=st.one_of(st.none(), _mostly(st.integers(-1, 3).map(str))),
+    spec=st.one_of(
+        st.sampled_from(["inv", "maj"]),
+        st.sampled_from(FG_SPECS),
+        st.tuples(st.sampled_from(FG_SPECS), st.integers(0, 8), st.integers(0, 2)).map(
+            lambda a: _respell(*a)
+        ),
+        _mostly(st.sampled_from(["0", "1", "2", "3", "9" * 20])).map(lambda k: f"kmaj:{k}"),
+        st.tuples(
+            st.integers(1, 3).flatmap(lambda r: st.permutations([str(x + 1) for x in range(r)]))
+            | st.lists(_mostly(letter), max_size=3),
+            st.lists(
+                _mostly(st.sampled_from(["2", "3", "4", "inf", " 3", "inf "])),
+                min_size=1,
+                max_size=3,
+            ),
+        ).map(lambda fg: f"fg:{' '.join(fg[0])}:{','.join(fg[1])}"),
+    ),
+    tokens=st.lists(st.integers(0, 3).flatmap(lambda i: letter if i else word_token), max_size=4),
+)
+def test_fuzzed_eval_argv(capsys, size, spec, tokens):
+    word = " ".join(tokens)
+    argv = ["eval", "--stat", spec, "--word", word]
+    argv += [] if size is None else ["--size", size]
+    code, out, err = _run_argv(capsys, *argv)
+    assert "Traceback" not in err
+    expected = _eval_value(spec, size, word)
+    if expected is None:
+        assert code == 1 and "error:" in err and out == "", err
+    else:
+        assert code == 0 and out == f"{expected}\n", err
+
+
+WEIGHT_SUITES = {
+    "macmahon", "theorem-majinv", "classification", "product-formula", "applications"
+}
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    suite=st.sampled_from(sorted(VERIFY_SUITES)),
+    # numbers stay small, or are ones every suite reading them refuses up
+    # front: no example runs a large sweep
+    size=st.one_of(st.none(), _mostly(st.sampled_from(["-1", "0", "1", "2", "3", "5", "10" * 6]))),
+    weight=_mostly(st.sampled_from(["-1", "0", "1", "2", "3"])),
+    length=st.one_of(st.none(), _mostly(st.sampled_from(["2", "3"]))),
+)
+def test_fuzzed_verify_argv(capsys, suite, size, weight, length):
+    argv = ["verify", suite, "--max-weight", weight]
+    argv += [] if size is None else ["--size", size]
+    argv += [] if length is None else ["--max-len", length]
+    code, out, err = _run_argv(capsys, *argv)
+    assert "Traceback" not in err
+    tokens = [t for t in (size, weight, length) if t is not None]
+    refused = not all(_is_integer(t) for t in tokens)
+    if not refused:
+        r = 3 if size is None else int(size)
+        cap = 4 if suite == "macmahon" else 3
+        refused = (suite != "applications" and not 1 <= r <= cap) or (
+            suite in WEIGHT_SUITES and int(weight) < 2
+        )
+    if refused:
+        assert code == 1 and "error:" in err and out == "", err
+    else:
+        report = json.loads(out)
+        assert code == (2 if report["violations"] else 0) and err == ""
 
 
 def test_distribution_refuses_an_oversized_class_before_allocating(capsys):

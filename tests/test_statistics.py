@@ -133,6 +133,52 @@ def test_word_over_a_larger_alphabet_is_refused(call):
         call(wd("1 4 2", 4))
 
 
+def _outcome(call):
+    """What a call gives, with Words reduced to their letters, or the message
+    of the ValueError it raises; any other exception escapes."""
+    try:
+        value = call()
+    except ValueError as exc:
+        return "error", str(exc)
+    if isinstance(value, Word):
+        return "ok", value.letters
+    if isinstance(value, tuple) and len(value) == 2 and isinstance(value[1], list):
+        case, parts = value  # x_factorization
+        return "ok", (case, [(b.letters, p) for b, p in parts])
+    return "ok", value
+
+
+def test_alphabet_check_matches_the_max_rule_exhaustively():
+    # Words over [r], [r + 1] and [r + 2], given to maps over [r].  The max()
+    # rule the shortcut replaced is the oracle: a word whose largest letter
+    # passes r is refused with the same message, and any other word gives
+    # what the same letters written over [r] give.
+    for r in (1, 2, 3):
+        u = natural_order(r)
+        stat = MajInvStatistic(u, u.transpose())
+        calls = [
+            lambda w: psi(u, w),
+            lambda w: psi_inverse(u, w),
+            lambda w: stat.evaluate(w),
+        ]
+        for x in range(1, r + 2):  # x = r + 1 is refused on its own
+            calls += [
+                lambda w, x=x: gamma(u, x, w),
+                lambda w, x=x: gamma_inverse(u, x, w),
+                lambda w, x=x: x_factorization(u, w, x),
+            ]
+        for size in (r, r + 1, r + 2):
+            for n in range(5):
+                for w in words_of_length(size, n):
+                    refused = bool(w.letters) and max(w.letters) > r
+                    for call in calls:
+                        got = _outcome(lambda: call(w))
+                        if refused:
+                            assert got == ("error", f"word letters exceed alphabet [{r}]")
+                        else:
+                            assert got == _outcome(lambda: call(Word(w.letters, r)))
+
+
 def test_letter_counts_partition_property():
     rng = random.Random(7)
     rels = list(enumerate_relations(2))

@@ -26,7 +26,7 @@ from majinv import (
 )
 from majinv import transform
 from majinv.mahonian import enumerate_relations
-from majinv.transform import MEMO_LETTERS, _memos, _pivot_classes
+from majinv.transform import MEMO_LETTERS, _clear_memos, _memos, _pivot_classes
 
 GT3 = natural_order(3)
 
@@ -288,7 +288,7 @@ def _oracle_psi_inverse(sides, letters):
 
 def _check_kernel_against_oracle(u, words, factorization=True):
     # words come in length order, so every prefix's oracle image is ready
-    _memos.cache_clear()
+    _clear_memos()
     sides = _all_sides(u)
     oracle_psi = {(): ()}
     for w in words:
@@ -337,11 +337,11 @@ def test_psi_round_trip_on_256_letters():
     order = natural_order(r)
     assert psi_inverse(order, psi(order, w)) == w
     # fresh memos: the whole chain runs, and must not recurse per letter
-    _memos.cache_clear()
+    _clear_memos()
     order2 = natural_order(2)
     long = Word(tuple(rng.randint(1, 2) for _ in range(3000)), 2)
     img = psi(order2, long)
-    _memos.cache_clear()
+    _clear_memos()
     assert psi_inverse(order2, img) == long
 
 
@@ -354,10 +354,20 @@ def test_equal_relations_share_one_pivot_class_entry():
     assert _pivot_classes(a) is _pivot_classes(b)
     info = _pivot_classes.cache_info()
     assert (info.hits, info.misses) == (1, 1)
-    _memos.cache_clear()
-    assert _memos(a) is _memos(b)
-    info = _memos.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+    # the memo holder: each swap builds one table, and an equal relation
+    # (the second lookup) shares the held entry without a swap
+    _clear_memos()
+    _pivot_classes.cache_clear()
+    held = _memos(a)
+    assert _memos(b) is held
+    info = _pivot_classes.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+    # a different relation evicts the entry; a fresh one replaces it
+    c = Relation.from_pairs(3, [(3, 1)])
+    assert _memos(c) is not held and _memos(c)[0] is c
+    assert _memos(b) is not held and _memos(b)[0] is b
+    info = _pivot_classes.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
 
 
 def test_pivot_class_cache_stays_bounded():
@@ -395,7 +405,7 @@ def test_memo_orders_agree_with_oracle(monkeypatch):
         for u in rels:
             sides = _all_sides(u)
             # length order: each call is one step on its stored prefix
-            _memos.cache_clear()
+            _clear_memos()
             gammas.clear()
             peels.clear()
             for w in words:
@@ -403,7 +413,7 @@ def test_memo_orders_agree_with_oracle(monkeypatch):
                 assert psi_inverse(u, w).letters == _oracle_psi_inverse(sides, w.letters)
             assert len(gammas) == len(peels) == nonempty
             # reverse order: no prefix is stored, and none gets stored
-            _memos.cache_clear()
+            _clear_memos()
             gammas.clear()
             peels.clear()
             for w in reversed(words):
@@ -428,8 +438,8 @@ def test_psi_inverse_ignores_the_psi_memo():
     u = natural_order(2)
     sides = _all_sides(u)
     words = [w for n in range(6) for w in words_of_length(2, n)]
-    _memos.cache_clear()
-    _, psi_memo, _ = _memos(u)
+    _clear_memos()
+    _, _, psi_memo, _ = _memos(u)
     for w in words:
         psi_memo.results[w.letters] = w.letters[::-1]
     for w in words:
@@ -445,8 +455,8 @@ def test_memo_letter_count_stays_within_budget(monkeypatch):
     sides = _all_sides(u)
     rng = random.Random(16)
     word = tuple(rng.randint(1, 4) for _ in range(500))
-    _memos.cache_clear()
-    _, psi_memo, inverse_memo = _memos(u)
+    _clear_memos()
+    _, _, psi_memo, inverse_memo = _memos(u)
     for n in range(1, len(word) + 1):
         assert psi_inverse(u, psi(u, Word(word[:n], 4))).letters == word[:n]
         for memo in (psi_memo, inverse_memo):
@@ -455,7 +465,7 @@ def test_memo_letter_count_stays_within_budget(monkeypatch):
     assert psi(u, Word(word, 4)).letters == _oracle_psi(sides, word)
     # a key longer than the whole budget is computed but not stored
     monkeypatch.setattr(transform, "MEMO_LETTERS", 8)
-    _memos.cache_clear()
-    _, psi_memo, _ = _memos(u)
+    _clear_memos()
+    _, _, psi_memo, _ = _memos(u)
     assert psi(u, Word(word[:9], 4)).letters == _oracle_psi(sides, word[:9])
     assert psi_memo.letters == 0 and psi_memo.results == {}
