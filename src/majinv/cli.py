@@ -54,8 +54,16 @@ def _int_option(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _check_stat_alphabet(size: int) -> None:
+    """Statistic alphabets share the cap of relation files."""
+    cap = relations.JSON_SIZE_CAP
+    if size > cap:
+        raise UsageError(f"statistic alphabet of {size} letters is capped at {cap}")
+
+
 def _parse_gmap(f_text: str, g_text: str) -> relations.GMap:
     f = tuple(_decimal(p, "f letter") for p in f_text.split())
+    _check_stat_alphabet(len(f))
     g: list[int | float] = []
     for part in g_text.split(","):
         part = part.strip()
@@ -70,6 +78,7 @@ def _parse_stat(
     if spec == "inv" or spec == "maj" or spec.startswith("kmaj:"):
         if size is None:
             raise UsageError(f"--size is required for stat '{spec}'")
+        _check_stat_alphabet(size)
         if spec == "inv":
             return statistics.inv_stat(size)
         if spec == "maj":
@@ -102,6 +111,7 @@ def _parse_stat(
             raise UsageError(f"bad --sets JSON: {exc}") from exc
         if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
             raise UsageError("--sets must be a JSON list of integer lists")
+        _check_stat_alphabet(len(sets))
         return statistics.set_maj_stat(
             [[relations.json_int(v, "--sets entry") for v in s] for s in sets]
         )
@@ -179,19 +189,23 @@ def _cmd_distribution(args) -> int:
     return 0
 
 
+# suite -> (mahonian verifier, looked up at call time, and the options it reads)
 VERIFY_SUITES = {
-    "macmahon": lambda a: mahonian.verify_macmahon(a.size, a.max_weight),
-    "theorem-majinv": lambda a: mahonian.verify_theorem_majinv(a.size, a.max_weight),
-    "classification": lambda a: mahonian.verify_classification(a.size, a.max_weight),
-    "distinctness": lambda a: mahonian.verify_distinctness(a.size, a.max_len),
-    "closure": lambda a: mahonian.verify_kappa_machinery(a.size),
-    "product-formula": lambda a: mahonian.verify_product_formula(a.size, a.max_weight),
-    "applications": lambda a: mahonian.verify_applications(a.max_weight),
+    "macmahon": ("verify_macmahon", ("size", "max_weight")),
+    "theorem-majinv": ("verify_theorem_majinv", ("size", "max_weight")),
+    "classification": ("verify_classification", ("size", "max_weight")),
+    "distinctness": ("verify_distinctness", ("size", "max_len")),
+    "closure": ("verify_kappa_machinery", ("size",)),
+    "product-formula": ("verify_product_formula", ("size", "max_weight")),
+    "applications": ("verify_applications", ("max_weight",)),
 }
 
 
 def _cmd_verify(args) -> int:
-    report = VERIFY_SUITES[args.suite](args)
+    verifier, options = VERIFY_SUITES[args.suite]
+    if "size" in options and args.size < 1:
+        raise UsageError(f"--size must be >= 1, got {args.size}")
+    report = getattr(mahonian, verifier)(*(getattr(args, o) for o in options))
     print(json.dumps(report.to_json_dict(), indent=2))
     return 0 if report.ok else 2
 

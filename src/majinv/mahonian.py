@@ -15,8 +15,9 @@ weight, and weights 0 and 1 hold for every pair, since a word of length <= 1
 has no descent and no inversion.  The tables implement the same definitions
 as the statistics module and the test suite cross-checks the two routes.
 
-The sweeps and verify_psi take their kappa-extensions from one cached table
-per alphabet size and their words from one class-grouped list.
+The sweeps, the closure suite and verify_psi test kappa-extension on masks,
+against one cached array of relations.kappa_bounds per alphabet size, and
+take their words from one class-grouped list.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -36,16 +37,16 @@ from .relations import (
     INF,
     Relation,
     empty_relation,
-    gmap_to_relation,
     is_bipartitional,
     is_kappa_extensible,
     is_kappa_extension,
     is_total_order,
+    kappa_bounds,
     kappa_closure,
     extract_bipartition,
     divides,
-    forced_pairs,
     natural_order,
+    total_orders,
 )
 from .statistics import (
     MajInvStatistic,
@@ -71,6 +72,7 @@ from .words import (
 RELATION_ENUM_CAP = 4  # single-relation sweeps walk 2**(r*r) masks
 PAIR_SWEEP_CAP = 3  # pair sweeps walk 4**(r*r) ordered pairs
 STAGE_CELL_BUDGET = 1 << 16  # word cells per sweep chunk; bounds the temporaries
+WORD_BYTES = 96  # a listed Word takes this plus 8 bytes per letter, by tracemalloc
 
 
 @dataclass
@@ -87,12 +89,7 @@ class Report:
         return not self.violations
 
     def to_json_dict(self) -> dict:
-        return {
-            "checked": self.checked,
-            "violations": self.violations,
-            "witnesses": self.witnesses,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
 
 def _stopwatch(verify):
@@ -109,8 +106,10 @@ def _stopwatch(verify):
 
 
 def _check_size(r: int, cap: int) -> None:
-    if r > cap:
-        raise ValueError(f"refusing alphabet size {r}: size is capped at {cap}")
+    if not 1 <= r <= cap:
+        raise ValueError(
+            f"refusing alphabet size {r}: size must be >= 1 and is capped at {cap}"
+        )
 
 
 def enumerate_relations(r: int):
@@ -132,8 +131,7 @@ def enumerate_mahonian_stats(s: Relation):
     f = tuple(1 + s.rows[x].bit_count() for x in range(r))
     choices = [list(range(b + 1, r + 1)) + [INF] for b in range(1, r + 1)]
     for combo in itertools.product(*choices):
-        u = gmap_to_relation(GMap(f, tuple(combo)))
-        yield MajInvStatistic(u, s - u)
+        yield gmap_stat(GMap(f, combo))
 
 
 def verify_equidistribution(u: Relation, s: Relation, max_weight: int) -> bool:
@@ -183,18 +181,19 @@ def _mask_table(cells: np.ndarray) -> np.ndarray:
     return tab
 
 
-def _check_table_bytes(r: int, lengths: range, tables: int) -> None:
-    """Refuse before allocating ``tables`` mask tables with 2**(r*r) rows and
-    one int64 column per word over [r] whose length is in ``lengths``, when
-    together they would take more than qseries.BYTE_BUDGET bytes."""
-    words_allowed = qseries.BYTE_BUDGET // (tables * (1 << (r * r)) * 8)
+def _check_word_bytes(r: int, lengths: range, word_bytes: int, what: str) -> None:
+    """Refuse before ``what`` takes ``word_bytes`` bytes per word over [r]
+    whose length is in ``lengths``, when together they would take more than
+    qseries.BYTE_BUDGET bytes.  A mask table has 2**(r*r) rows and one int64
+    column per word."""
+    words_allowed = qseries.BYTE_BUDGET // word_bytes
     nwords = 0
     for n in lengths:
         nwords += r ** min(n, 64)  # for r >= 2, r**64 words exceed any budget
         if nwords > words_allowed:
             raise ValueError(
-                f"refusing to build {tables} bitmask tables over {nwords:,} or more "
-                f"words: they exceed the budget of {qseries.BYTE_BUDGET:,} bytes"
+                f"refusing to {what} over {nwords:,} or more words: they exceed "
+                f"the budget of {qseries.BYTE_BUDGET:,} bytes"
             )
 
 
@@ -245,7 +244,8 @@ def _staged_sweep(r: int, max_weight: int, masks_of):
     boolean pass array over flat indices and the survivor count per weight.
     """
     # the inv', maj' and sorted target tables of the last weight are held at once
-    _check_table_bytes(r, range(max_weight, max_weight + 1), 3)
+    last = range(max_weight, max_weight + 1)
+    _check_word_bytes(r, last, 3 * 8 << (r * r), "build 3 bitmask tables")
     bits = r * r
     npairs = 1 << (2 * bits)
     alive = None  # before weight 2, every flat index
@@ -270,19 +270,23 @@ def _staged_sweep(r: int, max_weight: int, masks_of):
 
 
 @functools.lru_cache(maxsize=PAIR_SWEEP_CAP)
-def _kappa_extension_table(r: int) -> np.ndarray:
-    """Entry [u, s] tells whether S kappa-extends U: the test of
-    is_kappa_extension, made on masks for every S at once.  Cached and
-    read-only, since every caller shares the one array."""
-    nmasks = 1 << (r * r)
-    s = np.arange(nmasks)
-    table = np.empty((nmasks, nmasks), dtype=bool)
-    for u in range(nmasks):
-        forced = forced_pairs(Relation.from_mask(r, u))
-        need = u | forced.mask
-        table[u] = ((s & need) == need) & ((s & forced.transpose().mask) == 0)
+def _kappa_bounds_table(r: int) -> np.ndarray:
+    """Row u holds kappa_bounds of the relation with mask u, as the columns
+    (need, forbid).  Cached and read-only, since every caller shares the one
+    array."""
+    table = np.array(
+        [kappa_bounds(Relation.from_mask(r, u)) for u in range(1 << (r * r))],
+        dtype=np.int64,
+    )
     table.flags.writeable = False
     return table
+
+
+def _extends(s, bounds) -> np.ndarray:
+    """Whether S kappa-extends U, for masks ``s`` and (need, forbid) rows
+    ``bounds`` of _kappa_bounds_table, broadcast against each other."""
+    need, forbid = bounds[..., 0], bounds[..., 1]
+    return (s & need == need) & (s & forbid == 0)
 
 
 def _pair_violations(r: int, got: np.ndarray, expected: np.ndarray, keys) -> list:
@@ -310,18 +314,15 @@ def _check_max_weight(max_weight: int) -> None:
         )
 
 
-def _check_pair_sweep(r: int, max_weight: int) -> None:
-    _check_size(r, PAIR_SWEEP_CAP)
-    _check_max_weight(max_weight)
-
-
 @_stopwatch
 def verify_theorem_majinv(r: int, max_weight: int) -> Report:
     """Sweep every ordered relation pair (U, S) on [r] and confirm that
     equidistribution up to max_weight holds exactly for kappa-extensions."""
-    _check_pair_sweep(r, max_weight)
+    _check_size(r, PAIR_SWEEP_CAP)
+    _check_max_weight(max_weight)
     got, survivors = _staged_sweep(r, max_weight, lambda u, s: (u, s & ~u, s))
-    expected = _kappa_extension_table(r).ravel()
+    bounds = _kappa_bounds_table(r)
+    expected = _extends(np.arange(len(bounds)), bounds[:, None]).ravel()
     report = Report(checked=got.size)
     report.violations = _pair_violations(
         r, got, expected, ("s", "equidistributed", "kappa_extension")
@@ -340,17 +341,17 @@ def verify_classification(r: int, max_weight: int) -> Report:
     """Sweep every pair (U, V): the statistic maj'_U + inv'_V is mahonian up
     to max_weight exactly when U, V are disjoint, U join V is a total order
     and that order kappa-extends U; the count of winners must be r! * r!."""
-    _check_pair_sweep(r, max_weight)
+    _check_size(r, PAIR_SWEEP_CAP)
+    _check_max_weight(max_weight)
     # inv'_{natural order} is inv, whose class distributions are q-multinomial
     natural = natural_order(r).mask
     got, survivors = _staged_sweep(r, max_weight, lambda u, v: (u, v, natural))
 
-    kext = _kappa_extension_table(r)
-    expected = np.zeros_like(kext)
-    for s in range(kext.shape[0]):
-        if is_total_order(Relation.from_mask(r, s)):
-            u = np.flatnonzero(kext[:, s])  # each such U lies inside S
-            expected[u, s ^ u] = True
+    bounds = _kappa_bounds_table(r)
+    expected = np.zeros((len(bounds), len(bounds)), dtype=bool)
+    for s in (order.mask for order in total_orders(r)):
+        u = np.flatnonzero(_extends(s, bounds))  # each such U lies inside S
+        expected[u, s ^ u] = True
 
     report = Report(checked=got.size)
     report.violations = _pair_violations(
@@ -379,29 +380,18 @@ def verify_distinctness(r: int, max_len: int) -> Report:
     """Separate every pair of classified mahonian statistics by a word of
     length <= max_len; unseparated pairs are reported as violations."""
     _check_size(r, PAIR_SWEEP_CAP)
-    stats: list[MajInvStatistic] = []
-    for s_mask in range(1 << (r * r)):
-        s_rel = Relation.from_mask(r, s_mask)
-        if is_total_order(s_rel):
-            stats.extend(enumerate_mahonian_stats(s_rel))
-    words = [w for n in range(1, max_len + 1) for w in words_of_length(r, n)]
+    lengths = range(1, max_len + 1)
+    _check_word_bytes(r, lengths, WORD_BYTES + 8 * max_len, "list")
+    stats = [st for order in total_orders(r) for st in enumerate_mahonian_stats(order)]
+    words = [w for n in lengths for w in words_of_length(r, n)]
     report = Report(checked=len(stats) * (len(stats) - 1) // 2)
     separators: dict[str, str] = {}
-    for i in range(len(stats)):
-        for j in range(i + 1, len(stats)):
-            witness = next(
-                (w for w in words if stats[i].evaluate(w) != stats[j].evaluate(w)),
-                None,
-            )
-            if witness is None:
-                report.violations.append(
-                    {
-                        "stat_a": _stat_json(stats[i]),
-                        "stat_b": _stat_json(stats[j]),
-                    }
-                )
-            else:
-                separators[f"{i},{j}"] = witness.text()
+    for (i, a), (j, b) in itertools.combinations(enumerate(stats), 2):
+        witness = next((w for w in words if a.evaluate(w) != b.evaluate(w)), None)
+        if witness is None:
+            report.violations.append({"stat_a": _stat_json(a), "stat_b": _stat_json(b)})
+        else:
+            separators[f"{i},{j}"] = witness.text()
     report.witnesses = {
         "statistics": [_stat_json(st) for st in stats],
         "first_separators": separators,
@@ -431,7 +421,8 @@ def verify_kappa_machinery(r: int) -> Report:
     """
     _check_size(r, PAIR_SWEEP_CAP)
     rels = list(enumerate_relations(r))
-    kext = _kappa_extension_table(r)
+    masks = np.arange(len(rels))
+    bounds = _kappa_bounds_table(r)
     report = Report(checked=len(rels))
     extensible_count = 0
     bipartitional_count = 0
@@ -445,7 +436,7 @@ def verify_kappa_machinery(r: int) -> Report:
         closure = kappa_closure(u)
         ext_quadruple = is_kappa_extensible(u)
         ext_closure = is_kappa_extension(closure, u)
-        extensions = [rels[s] for s in np.flatnonzero(kext[u.mask]).tolist()]
+        extensions = [rels[s] for s in np.flatnonzero(_extends(masks, bounds[u.mask]))]
         if not (ext_quadruple == ext_closure == bool(extensions)):
             report.violations.append(
                 {"u": u.to_json_dict(), "property": "extensibility criteria disagree"}
@@ -553,16 +544,18 @@ def verify_psi(r: int, max_len: int) -> Report:
     each image is one gamma step on top of its stored prefix's image.
     """
     _check_size(r, PAIR_SWEEP_CAP)
-    _check_table_bytes(r, range(max_len + 1), 2)
-    letters_list, class_of = _class_words(r, range(max_len + 1))
+    lengths = range(max_len + 1)
+    _check_word_bytes(r, lengths, 2 * 8 << (r * r), "build 2 bitmask tables")
+    letters_list, class_of = _class_words(r, lengths)
     index = {ls: i for i, ls in enumerate(letters_list)}
     class_arr = np.array(class_of, dtype=np.int64)
     last = np.array([ls[-1] if ls else 0 for ls in letters_list], dtype=np.int64)
     invtab, majtab = _stat_tables(r, letters_list)
 
     full = (1 << (r * r)) - 1
-    kext = _kappa_extension_table(r)
-    extensible = np.flatnonzero(kext.any(axis=1)).tolist()
+    masks = np.arange(full + 1)
+    bounds = _kappa_bounds_table(r)
+    extensible = np.flatnonzero(bounds[:, 0] & bounds[:, 1] == 0).tolist()
 
     report = Report()
     pair_count = 0
@@ -583,7 +576,7 @@ def verify_psi(r: int, max_len: int) -> Report:
             report.violations.append(
                 {"u": u_rel.to_json_dict(), "property": "last letter moved"}
             )
-        for s in np.flatnonzero(kext[u]).tolist():
+        for s in np.flatnonzero(_extends(masks, bounds[u])).tolist():
             pair_count += 1
             report.checked += 1
             lhs = invtab[s][image_idx]

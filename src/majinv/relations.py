@@ -3,9 +3,10 @@
 A relation U is a set of ordered pairs of letters, stored as one bitmask row
 per letter (``rows[x-1]`` has bit ``y-1`` set iff x U y).  The module decides
 transitivity, strict total orders, bipartitional relations (with witness
-extraction), kappa-extensions and kappa-extensibility, computes the
-kappa-closure, and converts between relations and the (f, g) parametrization
-of the relations below a fixed total order.
+extraction), kappa-extensions (through their need/forbid bounds) and
+kappa-extensibility, lists the total orders, computes the kappa-closure, and
+converts between relations and the (f, g) parametrization of the relations
+below a fixed total order.
 
 A relation S is a kappa-extension of U when U is contained in S and, for all
 letters x, y, z:  x U y and not(z U y)  imply  x S z and not(z S x).
@@ -13,10 +14,11 @@ letters x, y, z:  x U y and not(z U y)  imply  x S z and not(z S x).
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 INF = math.inf  # g-map value larger than every letter
 JSON_SIZE_CAP = 256  # largest alphabet a relation file may declare
@@ -314,18 +316,13 @@ def is_bipartitional(u: Relation) -> bool:
 
 def relation_from_bipartition(b: Bipartition) -> Relation:
     """The relation determined by ordered blocks and their beta bits."""
-    r = b.size
-    block_of = {}
-    for l, block in enumerate(b.blocks):
-        for x in block:
-            block_of[x] = l
-    rows = [0] * r
-    for x in range(1, r + 1):
-        for y in range(1, r + 1):
-            lx, ly = block_of[x], block_of[y]
-            if lx < ly or (lx == ly and b.betas[lx] == 1):
-                rows[x - 1] |= 1 << (y - 1)
-    return Relation(r, tuple(rows))
+    block_of = {x: l for l, block in enumerate(b.blocks) for x in block}
+
+    def holds(x: int, y: int) -> bool:
+        lx, ly = block_of[x], block_of[y]
+        return lx < ly or (lx == ly and b.betas[lx] == 1)
+
+    return _relation_where(b.size, holds)
 
 
 def extract_bipartition(u: Relation) -> Bipartition:
@@ -370,12 +367,25 @@ def forced_pairs(u: Relation) -> Relation:
     )
 
 
+def kappa_bounds(u: Relation) -> tuple[int, int]:
+    """The masks (need, forbid) that bound the kappa-extensions of U.
+
+    need is U with its forced pairs and forbid is the forced pairs reversed:
+    S kappa-extends U iff S contains need and meets none of forbid, so the
+    extensions form the cube of masks between need and the complement of
+    forbid, which is non-empty iff need & forbid == 0.
+    """
+    forced = forced_pairs(u)
+    return (u | forced).mask, forced.transpose().mask
+
+
 def is_kappa_extension(s: Relation, u: Relation) -> bool:
     """True iff S contains U and its forced pairs, and reverses none of them."""
     if s.size != u.size:
         raise ValueError("alphabet size mismatch")
-    forced = forced_pairs(u)
-    return (u | forced).issubset(s) and not any((s & forced.transpose()).rows)
+    need, forbid = kappa_bounds(u)
+    mask = s.mask
+    return mask & need == need and not mask & forbid
 
 
 def is_kappa_extensible(u: Relation) -> bool:
@@ -408,23 +418,19 @@ def order_from_ranks(ranks: Sequence[int]) -> Relation:
     r = len(ranks)
     if sorted(ranks) != list(range(1, r + 1)):
         raise ValueError("ranks must be a permutation of [r]")
-    rows = [0] * r
-    for x in range(r):
-        for y in range(r):
-            if ranks[x] > ranks[y]:
-                rows[x] |= 1 << y
-    return Relation(r, tuple(rows))
+    return _relation_where(r, lambda x, y: ranks[x - 1] > ranks[y - 1])
+
+
+def total_orders(r: int) -> list[Relation]:
+    """The r! strict total orders on [r], in increasing mask order."""
+    orders = map(order_from_ranks, itertools.permutations(range(1, r + 1)))
+    return sorted(orders, key=operator.attrgetter("mask"))
 
 
 def gmap_to_relation(m: GMap) -> Relation:
     """The relation {(x, y) : f(x) >= g(f(y))}; INF values contribute nothing."""
-    r = m.size
-    rows = [0] * r
-    for x in range(1, r + 1):
-        for y in range(1, r + 1):
-            if m.f[x - 1] >= m.g[m.f[y - 1] - 1]:
-                rows[x - 1] |= 1 << (y - 1)
-    return Relation(r, tuple(rows))
+    f, g = m.f, m.g
+    return _relation_where(m.size, lambda x, y: f[x - 1] >= g[f[y - 1] - 1])
 
 
 def relation_to_gmap(u: Relation, s: Relation) -> GMap:
@@ -439,16 +445,12 @@ def relation_to_gmap(u: Relation, s: Relation) -> GMap:
         raise ValueError("S is not a total order")
     if not is_kappa_extension(s, u):
         raise ValueError("S is not a kappa-extension of U")
-    r = s.size
-    f = tuple(1 + s.rows[x].bit_count() for x in range(r))
-    by_rank = [0] * r
-    for x in range(1, r + 1):
-        by_rank[f[x - 1] - 1] = x
-    g: list[int | float] = []
-    for b in range(1, r + 1):
-        y = by_rank[b - 1]
-        preds = [f[x - 1] for x in range(1, r + 1) if u.contains(x, y)]
-        g.append(min(preds) if preds else INF)
+    f = tuple(1 + row.bit_count() for row in s.rows)
+    g: list[int | float] = [INF] * s.size
+    for y in range(1, s.size + 1):
+        preds = [f[x - 1] for x in range(1, s.size + 1) if u.contains(x, y)]
+        if preds:
+            g[f[y - 1] - 1] = min(preds)
     return GMap(f, tuple(g))
 
 
@@ -460,18 +462,14 @@ def u_k(r: int, k: int) -> Relation:
     """{(x, y) : x >= y + k}."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return Relation.from_pairs(
-        r, [(x, y) for x in range(1, r + 1) for y in range(1, r + 1) if x >= y + k]
-    )
+    return _relation_where(r, lambda x, y: x >= y + k)
 
 
 def v_k(r: int, k: int) -> Relation:
     """{(x, y) : y + k > x > y}."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return Relation.from_pairs(
-        r, [(x, y) for x in range(1, r + 1) for y in range(1, r + 1) if y + k > x > y]
-    )
+    return _relation_where(r, lambda x, y: y + k > x > y)
 
 
 def u_ab(r: int, a: Iterable[int], b: Iterable[int]) -> Relation:
@@ -496,20 +494,13 @@ def s_ab(r: int, a: Iterable[int], b: Iterable[int]) -> Relation:
 def s_prime_ab(r: int, a: Iterable[int], b: Iterable[int]) -> Relation:
     """s_ab completed to a total order by comparing non-A letters with >."""
     sa = _subset(r, a)
-    extra = [
-        (x, y)
-        for x in range(1, r + 1)
-        for y in range(1, r + 1)
-        if x not in sa and y not in sa and x > y
-    ]
-    return s_ab(r, a, b) | Relation.from_pairs(r, extra)
+    extra = _relation_where(r, lambda x, y: x not in sa and y not in sa and x > y)
+    return s_ab(r, a, b) | extra
 
 
 def divides(r: int) -> Relation:
     """{(x, y) : x divides y} on [r]."""
-    return Relation.from_pairs(
-        r, [(x, y) for x in range(1, r + 1) for y in range(1, r + 1) if y % x == 0]
-    )
+    return _relation_where(r, lambda x, y: y % x == 0)
 
 
 def set_alphabet_relations(
@@ -533,22 +524,20 @@ def set_alphabet_relations(
             raise ValueError("sets must be mutually disjoint")
         seen |= set(blk)
     r = len(blocks)
-    u_pairs, v_pairs, s_pairs = [], [], []
-    for x in range(1, r + 1):
-        for y in range(1, r + 1):
-            mn_x = blocks[x - 1][0]
-            mn_y, mx_y = blocks[y - 1][0], blocks[y - 1][-1]
-            if mn_x > mx_y:
-                u_pairs.append((x, y))
-            if mx_y >= mn_x > mn_y:
-                v_pairs.append((x, y))
-            if mn_x > mn_y:
-                s_pairs.append((x, y))
+    mn = [0] + [blk[0] for blk in blocks]  # indexed by letter
+    mx = [0] + [blk[-1] for blk in blocks]
     return (
-        Relation.from_pairs(r, u_pairs),
-        Relation.from_pairs(r, v_pairs),
-        Relation.from_pairs(r, s_pairs),
+        _relation_where(r, lambda x, y: mn[x] > mx[y]),
+        _relation_where(r, lambda x, y: mx[y] >= mn[x] > mn[y]),
+        _relation_where(r, lambda x, y: mn[x] > mn[y]),
     )
+
+
+def _relation_where(r: int, holds: Callable[[int, int], bool]) -> Relation:
+    """The relation on [r] of the pairs (x, y) with holds(x, y)."""
+    letters = range(1, r + 1)
+    pairs = [(x, y) for x in letters for y in letters if holds(x, y)]
+    return Relation.from_pairs(r, pairs)
 
 
 def _subset(r: int, letters: Iterable[int]) -> set[int]:

@@ -316,6 +316,50 @@ def test_verify_size_cap(capsys):
     assert code == 1 and "capped" in err
 
 
+@pytest.mark.parametrize(
+    "suite", sorted(s for s, (_, options) in VERIFY_SUITES.items() if "size" in options)
+)
+def test_verify_refuses_sizes_below_one(capsys, suite):
+    for size in ("0", "-1"):
+        code, out, err = run(capsys, "verify", suite, "--size", size)
+        assert code == 1 and out == "", size
+        assert err.startswith("error:") and "--size" in err, size
+
+
+def test_statistic_alphabets_are_capped_before_building(capsys):
+    def argvs(n):
+        fg = f"fg:{' '.join(map(str, range(1, n + 1)))}:{','.join(['inf'] * n)}"
+        sets = json.dumps([[x] for x in range(1, n + 1)])
+        composition = ",".join(["0"] * (n - 1) + ["1"])
+        return [
+            *(
+                ["eval", "--stat", s, "--size", str(n), "--word", "1"]
+                for s in ("inv", "maj", "kmaj:2")
+            ),
+            ["eval", "--stat", fg, "--word", "1"],
+            ["eval", "--stat", "setmaj", "--sets", sets, "--word", "1"],
+            ["distribution", "--stat", "inv", "--composition", composition],
+        ]
+
+    for argv in argvs(JSON_SIZE_CAP):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "", argv[:3]
+    for argv in argvs(JSON_SIZE_CAP + 1):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv[:3]
+        assert err.startswith("error:") and "capped" in err, argv[:3]
+
+
+def test_verify_distinctness_refuses_word_lists_beyond_the_memory_budget(capsys):
+    # listing the words up to length 16 over [3] would take about 9.6 GB
+    for length in ("16", str(10**9)):
+        code, out, err = run(
+            capsys, "verify", "distinctness", "--size", "3", "--max-len", length
+        )
+        assert code == 1 and out == "", length
+        assert err.startswith("error:") and "budget" in err, length
+
+
 def test_verify_pair_sweep_refuses_tables_beyond_the_memory_budget(capsys):
     # weight 12 over [3] needs three 2.2 GB tables; it is refused before any
     # stage runs, while weight 5 still certifies

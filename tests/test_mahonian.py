@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from majinv import (
@@ -181,13 +182,19 @@ def test_survivors_by_weight_r3():
     }
 
 
-def test_kappa_extension_table_matches_predicate_r3():
-    from majinv.mahonian import _kappa_extension_table
+def _extension_matrix(r):
+    """Entry [u, s] of the bounds table's test: S kappa-extends U."""
+    from majinv.mahonian import _extends, _kappa_bounds_table
 
-    table = _kappa_extension_table(3)
+    bounds = _kappa_bounds_table(r)
+    return _extends(np.arange(1 << (r * r)), bounds[:, None])
+
+
+def test_kappa_bounds_table_matches_predicate_r3():
+    matrix = _extension_matrix(3)
     rels = list(enumerate_relations(3))
     for u in rels:
-        assert table[u.mask].tolist() == [is_kappa_extension(s, u) for s in rels]
+        assert matrix[u.mask].tolist() == [is_kappa_extension(s, u) for s in rels]
 
 
 def _kappa_extension_by_letters(r, u, s):
@@ -207,21 +214,22 @@ def _kappa_extension_by_letters(r, u, s):
     )
 
 
-def test_kappa_extension_table_matches_letter_definition():
-    from majinv.mahonian import _kappa_extension_table
+def test_kappa_bounds_table_matches_letter_definition():
+    from majinv.mahonian import _kappa_bounds_table
 
     # every pair at r <= 3 (262,144 at r = 3, 1,701 of them kappa-extensions)
     for r in (1, 2, 3):
         n = 1 << (r * r)
-        assert _kappa_extension_table(r).tolist() == [
+        assert _extension_matrix(r).tolist() == [
             [_kappa_extension_by_letters(r, u, s) for s in range(n)] for u in range(n)
         ]
-    table = _kappa_extension_table(3)
-    assert int(table.sum()) == 1701
+    assert int(_extension_matrix(3).sum()) == 1701
     # one shared array per alphabet size, which no caller may write
-    assert _kappa_extension_table(3) is table
+    table = _kappa_bounds_table(3)
+    assert table.shape == (512, 2)
+    assert _kappa_bounds_table(3) is table
     with pytest.raises(ValueError):
-        table[0, 0] = not table[0, 0]
+        table[0, 0] = ~table[0, 0]
 
 
 def test_classification_r1():
@@ -457,6 +465,51 @@ def test_psi_verifier_r2():
             "max_len": 4,
         },
     }
+
+
+def test_psi_and_closure_reports_r3():
+    # every U's extensions come from the bounds table in both verifiers
+    report = verify_psi(3, 6).to_json_dict()
+    del report["elapsed_ms"]
+    assert report == {
+        "checked": 1829,
+        "violations": [],
+        "witnesses": {
+            "kappa_extensible": 128,
+            "kappa_extension_pairs": 1701,
+            "words": 1093,
+            "max_len": 6,
+        },
+    }
+    report = verify_kappa_machinery(3).to_json_dict()
+    del report["elapsed_ms"]
+    assert report == {
+        "checked": 514,
+        "violations": [],
+        "witnesses": {"kappa_extensible": 128, "bipartitional": 74},
+    }
+
+
+def test_verifiers_refuse_alphabets_below_one():
+    for r in (0, -1):
+        for verify, args in (
+            (verify_theorem_majinv, (r, 3)),
+            (verify_classification, (r, 3)),
+            (verify_distinctness, (r, 3)),
+            (verify_kappa_machinery, (r,)),
+            (verify_product_formula, (r, 3)),
+            (verify_macmahon, (r, 3)),
+            (verify_psi, (r, 3)),
+        ):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                verify(*args)
+
+
+def test_distinctness_refuses_a_word_list_beyond_the_memory_budget():
+    # the 3**16 words of length 16 alone take about 9.6 GB as listed Words
+    for max_len in (16, 10**9):
+        with pytest.raises(ValueError, match="budget"):
+            verify_distinctness(3, max_len)
 
 
 def test_psi_verifier_refuses_tables_beyond_the_memory_budget():

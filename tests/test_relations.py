@@ -35,7 +35,7 @@ from majinv import (
     v_k,
 )
 from majinv.mahonian import enumerate_relations
-from majinv.relations import JSON_SIZE_CAP, forced_pairs
+from majinv.relations import JSON_SIZE_CAP, forced_pairs, total_orders
 
 CHAIN = Relation.from_pairs(3, [(1, 2), (2, 3)])
 
@@ -409,6 +409,45 @@ def _all_gmaps(r):
     for f in itertools.permutations(range(1, r + 1)):
         for g in itertools.product(*choices):
             yield GMap(tuple(f), tuple(g))
+
+
+def test_total_orders_match_the_total_order_filter():
+    for r in (1, 2, 3):
+        orders = [s for s in enumerate_relations(r) if is_total_order(s)]
+        assert total_orders(r) == orders
+    orders = total_orders(4)
+    assert len(orders) == 24 and all(map(is_total_order, orders))
+    assert [s.mask for s in orders] == sorted({s.mask for s in orders})
+
+
+def _rows_relation(r, has):
+    """The relation of the pairs (x, y) with has(x, y), one bit at a time."""
+    rows = [0] * r
+    for x in range(1, r + 1):
+        for y in range(1, r + 1):
+            if has(x, y):
+                rows[x - 1] |= 1 << (y - 1)
+    return Relation(r, tuple(rows))
+
+
+def test_pair_builders_match_row_loops():
+    for r in range(1, 5):
+        for ranks in itertools.permutations(range(1, r + 1)):
+            expected = _rows_relation(r, lambda x, y: ranks[x - 1] > ranks[y - 1])
+            assert order_from_ranks(ranks) == expected
+    for r in range(1, 4):
+        for m in _all_gmaps(r):
+            expected = _rows_relation(r, lambda x, y: m.f[x - 1] >= m.g[m.f[y - 1] - 1])
+            assert gmap_to_relation(m) == expected
+        for blocks in _ordered_set_partitions(range(1, r + 1)):
+            block_of = {x: i for i, block in enumerate(blocks) for x in block}
+            for betas in itertools.product((0, 1), repeat=len(blocks)):
+                expected = _rows_relation(
+                    r,
+                    lambda x, y: block_of[x] < block_of[y]
+                    or (block_of[x] == block_of[y] and betas[block_of[x]] == 1),
+                )
+                assert relation_from_bipartition(Bipartition(blocks, betas)) == expected
 
 
 def test_gmap_relation_always_extended_by_rank_order():
