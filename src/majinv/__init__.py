@@ -66,6 +66,7 @@ from .qseries import (
     QPolynomial,
     bipartitional_product_formula,
     distribution,
+    distributions_up_to,
     is_mahonian_up_to,
     q_factorial,
     q_integer,

@@ -29,6 +29,15 @@ non-zero counts.  The walk is memoized on that key, and the restriction on
 product-formula, applications), which score many statistics on thousands
 of small classes: statistics that agree on a support, and classes that
 differ only by letters they leave out, share one walk.
+
+Certificates ask for every class up to a weight W, and
+``distributions_up_to`` answers from a per-support front.  The classes of
+``compositions_up_to(r, W)`` are grouped by support once per (r, W); the
+statistic is restricted once per support, and the polynomials of all the
+classes on that support are one memoized tuple per (restricted U rows,
+restricted V rows, W), filled by the walk.  A statistic then costs one
+lookup per support, at most 2**r - 1, where it cost one per class.
+``distribution`` stays the entry point for a single class.
 """
 
 from __future__ import annotations
@@ -36,11 +45,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Iterable
 
 from .statistics import MajInvStatistic
-from .words import Composition, class_size, compositions_up_to
+from .words import Composition, compositions_up_to
 from .relations import Bipartition, Relation, json_int
 
 BYTE_BUDGET = 1 << 30  # largest table or coefficient list built at once, well under the RAM
@@ -202,20 +211,48 @@ def q_factorial(n: int) -> QPolynomial:
     return out
 
 
-@lru_cache(maxsize=4096)  # the classes bench workload reads 363 keys
+def _check_coefficients(n: int, length: int) -> None:
+    """Refuse a polynomial on a class of weight n whose coefficient list of
+    ``length`` slots would take more than BYTE_BUDGET bytes, before it is
+    built."""
+    if 8 * length > BYTE_BUDGET:
+        raise ValueError(
+            f"refusing a class of weight {n:,}: its {length:,} "
+            f"coefficients exceed the budget of {BYTE_BUDGET:,} bytes"
+        )
+
+
+# the classes bench workload: 363 keys, 8,205 hits in 8,568 calls
+@lru_cache(maxsize=4096)
 def _q_multinomial_cached(counts: tuple[int, ...]) -> QPolynomial:
-    num = q_factorial(sum(counts))
+    """The product over the letters of the q-binomials [t; c], t the count of
+    the letters up to and including this one.  Each [t; k] is built one factor
+    (1 - q^(t-k+j)) / (1 - q^j) at a time on a coefficient list cut at the
+    final degree: the division by 1 - q^j is a running sum along every
+    residue class mod j, and exact, since every partial product is again a
+    q-binomial."""
+    n = sum(counts)
+    degree = (n * n - sum(c * c for c in counts)) // 2
+    _check_coefficients(n, degree + 1)
+    coeffs = [1] + [0] * degree
+    t = 0
     for c in counts:
-        num = num.exact_div(q_factorial(c))
-    return num
+        t += c
+        k = min(c, t - c)  # [t; c] = [t; t - c]
+        for j in range(1, k + 1):
+            a = t - k + j
+            coeffs[a:] = [x - y for x, y in zip(coeffs[a:], coeffs)]
+            for start in range(j):
+                coeffs[start::j] = accumulate(coeffs[start::j])
+    return QPolynomial(tuple(coeffs))
 
 
 def q_multinomial(c: Composition) -> QPolynomial:
-    """[n; c(1), ..., c(r)]_q by exact division of q-factorials."""
+    """[n; c(1), ..., c(r)]_q, refused past BYTE_BUDGET like distribution."""
     return _q_multinomial_cached(c.counts)
 
 
-# the classes bench workload: 2,726 keys, 41,442 hits in 44,168 calls
+# the classes bench workload: 2,726 keys, 6,182 hits in 8,908 calls
 @lru_cache(maxsize=4096)
 def _restrict(u: Relation, v: Relation, support: tuple[int, ...]):
     """The rows of U and V restricted to the letters of ``support`` and
@@ -244,17 +281,14 @@ def distribution(stat: MajInvStatistic, c: Composition) -> QPolynomial:
     n = c.weight
     if n == 0:
         return QPolynomial.one()
-    if 8 * (n * (n - 1) + 1) > BYTE_BUDGET:
-        raise ValueError(
-            f"refusing a class of weight {n:,}: its {n * (n - 1) + 1:,} "
-            f"coefficients exceed the budget of {BYTE_BUDGET:,} bytes"
-        )
+    _check_coefficients(n, n * (n - 1) + 1)
     support = tuple(compress(range(c.size), c.counts))
     u_rows, v_rows = _restrict(stat.maj_relation, stat.inv_relation, support)
     return _walk(u_rows, v_rows, tuple(filter(None, c.counts)))
 
 
-# the classes bench workload: 1,685 keys, 42,483 hits in 44,168 calls
+# the classes bench workload: 1,685 keys, 95 hits in 1,780 calls; the
+# classes reach it through _support_distributions
 @lru_cache(maxsize=4096)
 def _walk(
     u_rows: tuple[int, ...], v_rows: tuple[int, ...], counts: tuple[int, ...]
@@ -312,6 +346,64 @@ def _walk(
     return QPolynomial.from_coeffs(coeffs)
 
 
+@lru_cache(maxsize=16)
+def _support_groups(r: int, max_weight: int) -> tuple:
+    """The classes of compositions_up_to(r, max_weight) with a non-empty
+    support, grouped by it: (support, positions) pairs.  Within a support
+    the classes run by weight, then in lex order of their non-zero counts,
+    which is the order of _full_support_counts(len(support), max_weight)."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, c in enumerate(compositions_up_to(r, max_weight)):
+        if c.weight:
+            groups.setdefault(tuple(compress(range(r), c.counts)), []).append(i)
+    return tuple((support, tuple(positions)) for support, positions in groups.items())
+
+
+@lru_cache(maxsize=16)
+def _full_support_counts(k: int, max_weight: int) -> tuple[tuple[int, ...], ...]:
+    """The counts of the classes over [k] that use every letter, of weight
+    <= max_weight, in the order of compositions_up_to."""
+    return tuple(c.counts for c in compositions_up_to(k, max_weight) if all(c.counts))
+
+
+# the classes bench workload: 301 keys, 8,605 hits in 8,906 calls
+@lru_cache(maxsize=1024)
+def _support_distributions(
+    u_rows: tuple[int, ...], v_rows: tuple[int, ...], max_weight: int
+) -> tuple[QPolynomial, ...]:
+    """_walk on every class of _full_support_counts(len(u_rows), max_weight)."""
+    return tuple(
+        _walk(u_rows, v_rows, counts)
+        for counts in _full_support_counts(len(u_rows), max_weight)
+    )
+
+
+def distributions_up_to(stat: MajInvStatistic, max_weight: int) -> list[QPolynomial]:
+    """distribution(stat, c) for every c in compositions_up_to(stat.size,
+    max_weight), in that order.
+
+    The statistic is restricted once per support, and the polynomials of all
+    the classes with that support are read as one memoized tuple.  Refuses
+    max_weight past BYTE_BUDGET as distribution does.
+    """
+    if max_weight < 0:
+        raise ValueError("max_weight must be >= 0")
+    _check_coefficients(max_weight, max_weight * (max_weight - 1) + 1)
+    r = stat.size
+    u, v = stat.maj_relation, stat.inv_relation
+    out = [QPolynomial.one()] * len(compositions_up_to(r, max_weight))
+    for support, positions in _support_groups(r, max_weight):
+        polys = _support_distributions(*_restrict(u, v, support), max_weight)
+        for i, poly in zip(positions, polys):
+            out[i] = poly
+    return out
+
+
+@lru_cache(maxsize=16)
+def _q_multinomials_up_to(r: int, max_weight: int) -> tuple[QPolynomial, ...]:
+    return tuple(q_multinomial(c) for c in compositions_up_to(r, max_weight))
+
+
 def is_mahonian_up_to(stat: MajInvStatistic, max_weight: int) -> bool:
     """Certify equidistribution with inv on every class of weight <= max_weight.
 
@@ -319,10 +411,8 @@ def is_mahonian_up_to(stat: MajInvStatistic, max_weight: int) -> bool:
     """
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
-    for c in compositions_up_to(stat.size, max_weight):
-        if distribution(stat, c) != q_multinomial(c):
-            return False
-    return True
+    expected = _q_multinomials_up_to(stat.size, max_weight)
+    return tuple(distributions_up_to(stat, max_weight)) == expected
 
 
 def bipartitional_product_formula(c: Composition, b: Bipartition) -> QPolynomial:
@@ -342,10 +432,11 @@ def bipartitional_product_formula(c: Composition, b: Bipartition) -> QPolynomial
     coeff = 1
     exponent = 0
     for block, beta in zip(b.blocks, b.betas):
-        block_counts = tuple(c.counts[x - 1] for x in block)
-        m = sum(block_counts)
+        m = 0
+        for x in block:  # multinomial(m; c(B)) as a product of binomials
+            m += c.counts[x - 1]
+            coeff *= math.comb(m, c.counts[x - 1])
         block_weights.append(m)
-        coeff *= class_size(Composition(block_counts))
         exponent += beta * math.comb(m, 2)
-    out = q_multinomial(Composition(tuple(block_weights)))
-    return out * QPolynomial.monomial(exponent, coeff)
+    scaled = (coeff * a for a in _q_multinomial_cached(tuple(block_weights)).coeffs)
+    return QPolynomial((0,) * exponent + tuple(scaled))  # coeff > 0 keeps it canonical

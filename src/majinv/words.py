@@ -140,25 +140,26 @@ def class_size(c: Composition) -> int:
 
 
 def enumerate_class(c: Composition) -> Iterator[Word]:
-    """Yield every word of the rearrangement class in increasing lex order."""
+    """Yield every word of the rearrangement class in increasing lex order.
+
+    Iterative, so a long class needs no deeper stack: each word is the
+    next permutation of the one before, starting from the sorted word."""
     r = c.size
-    n = c.weight
-    counts = list(c.counts)
-    buf: list[int] = []
-
-    def rec() -> Iterator[Word]:
-        if len(buf) == n:
-            yield _trusted_word(tuple(buf), r)
+    letters = [x for x, m in enumerate(c.counts, start=1) for _ in range(m)]
+    while True:
+        yield _trusted_word(tuple(letters), r)
+        # the last ascent i, swapped with the last letter above letters[i];
+        # the tail after i is non-increasing, so reversing sorts it
+        i = len(letters) - 2
+        while i >= 0 and letters[i] >= letters[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for x in range(1, r + 1):
-            if counts[x - 1]:
-                counts[x - 1] -= 1
-                buf.append(x)
-                yield from rec()
-                buf.pop()
-                counts[x - 1] += 1
-
-    return rec()
+        j = len(letters) - 1
+        while letters[j] <= letters[i]:
+            j -= 1
+        letters[i], letters[j] = letters[j], letters[i]
+        letters[i + 1 :] = letters[:i:-1]
 
 
 def words_of_length(r: int, n: int) -> Iterator[Word]:

@@ -1004,3 +1004,27 @@ def test_check_kappa_extensible_on_256_letters(capsys, tmp_path):
         code, out, _ = run(capsys, "check", "kappa-extensible", "--relation", str(path))
         assert code == 0 and out.strip() == verdict
         assert time.perf_counter() - start < 10
+
+
+def test_verify_theorem_majinv_at_a_weight_past_the_recursion_limit(capsys):
+    # a class of 1200 letters: enumerating it once recursed per letter
+    code, out, err = run(
+        capsys, "verify", "theorem-majinv", "--size", "1", "--max-weight", "1200"
+    )
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error:") and out == ""
+    else:
+        report = json.loads(out)
+        assert code == 0 and report["violations"] == []
+        assert report["witnesses"]["survivors_by_weight"]["1200"] == 3
+
+
+def test_verify_macmahon_at_weight_100_ends_quickly(capsys):
+    # [n; n] is 1: the q-binomial product takes no step, where q-factorials
+    # of degree 4950 were divided
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "macmahon", "--size", "1", "--max-weight", "100")
+    assert time.perf_counter() - start < 5
+    report = json.loads(out)
+    assert code == 0 and report["checked"] == 101 and report["violations"] == []

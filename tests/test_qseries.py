@@ -16,6 +16,7 @@ from majinv import (
     bipartitional_product_formula,
     class_size,
     distribution,
+    distributions_up_to,
     empty_relation,
     inv_stat,
     is_mahonian_up_to,
@@ -241,6 +242,7 @@ def test_distribution_edge_classes():
 def _clear_memo():
     qseries._restrict.cache_clear()
     qseries._walk.cache_clear()
+    qseries._support_distributions.cache_clear()
 
 
 def test_memo_matches_oracle_in_shuffled_orders():
@@ -291,6 +293,83 @@ def test_memo_entry_is_shared_exactly_when_the_support_agrees():
     for size, (stat, cls) in enumerate(others, start=2):
         assert distribution(stat, cls) == _brute_force(stat, cls)
         assert qseries._walk.cache_info().currsize == size
+
+
+def _q_multinomial_by_factorials(counts):
+    # [n]! / ([c1]! ... [cr]!) by exact division: the definition
+    num = q_factorial(sum(counts))
+    for c in counts:
+        num = num.exact_div(q_factorial(c))
+    return num
+
+
+def test_q_multinomial_matches_the_factorial_quotient():
+    qseries._q_multinomial_cached.cache_clear()
+    for r in (1, 2, 3):
+        for c in compositions_up_to(r, 8):
+            assert q_multinomial(c) == _q_multinomial_by_factorials(c.counts), c
+
+
+def test_q_multinomial_refuses_a_class_past_the_byte_budget(monkeypatch):
+    # [n; c] has degree (n^2 - sum c^2) / 2: 13 slots for (3, 4), 8 for (7, 1)
+    monkeypatch.setattr(qseries, "BYTE_BUDGET", 8 * 12)
+    qseries._q_multinomial_cached.cache_clear()
+    assert q_multinomial(Composition((7, 1))) == poly(1, 1, 1, 1, 1, 1, 1, 1)
+    assert q_multinomial(Composition((100,))) == poly(1)
+    with pytest.raises(ValueError, match="budget"):
+        q_multinomial(Composition((3, 4)))
+    qseries._q_multinomial_cached.cache_clear()
+
+
+def _assert_up_to_matches(stat, max_weight, oracle):
+    comps = compositions_up_to(stat.size, max_weight)
+    assert distributions_up_to(stat, max_weight) == [oracle(stat, c) for c in comps]
+
+
+def test_distributions_up_to_matches_distribution_exhaustively_small():
+    for r in (1, 2):
+        masks = range(1 << (r * r))
+        for u in masks:
+            for v in masks:
+                stat = MajInvStatistic(Relation.from_mask(r, u), Relation.from_mask(r, v))
+                for max_weight in range(7):
+                    _assert_up_to_matches(stat, max_weight, distribution)
+
+
+def test_distributions_up_to_matches_brute_force_sampled():
+    rng = random.Random(80421)
+    _clear_memo()
+    for r, max_weight, samples in ((3, 5, 40), (4, 4, 12)):
+        top = 1 << (r * r)
+        for _ in range(samples):
+            u, v = rng.randrange(top), rng.randrange(top)
+            stat = MajInvStatistic(Relation.from_mask(r, u), Relation.from_mask(r, v))
+            _assert_up_to_matches(stat, max_weight, _brute_force)
+
+
+def test_distributions_up_to_places_each_class_by_its_support():
+    # (2,0,1) and (0,2,1) share their non-zero counts (2, 1) but not their
+    # support; U = {(1,3)} tells them apart, so a polynomial filed under the
+    # wrong support shows
+    stat = MajInvStatistic(Relation.from_pairs(3, [(1, 3)]), empty_relation(3))
+    comps = compositions_up_to(3, 3)
+    got = dict(zip(comps, distributions_up_to(stat, 3)))
+    a, b = Composition((2, 0, 1)), Composition((0, 2, 1))
+    assert _brute_force(stat, a) != _brute_force(stat, b)
+    assert (got[a], got[b]) == (_brute_force(stat, a), _brute_force(stat, b))
+
+
+def test_distributions_up_to_edges(monkeypatch):
+    # weight 0 is the class with empty support, whose polynomial is 1
+    full = MajInvStatistic(Relation.from_mask(2, 15), Relation.from_mask(2, 15))
+    assert distributions_up_to(full, 0) == [QPolynomial.one()]
+    assert distributions_up_to(full, 3)[0] == QPolynomial.one()
+    with pytest.raises(ValueError):
+        distributions_up_to(full, -1)
+    monkeypatch.setattr(qseries, "BYTE_BUDGET", 8 * (6 * 5 + 1))
+    assert len(distributions_up_to(full, 6)) == 28
+    with pytest.raises(ValueError, match="budget"):
+        distributions_up_to(full, 7)
 
 
 def test_distribution_refuses_a_class_past_the_byte_budget(monkeypatch):

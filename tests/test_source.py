@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard library only."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import majinv
@@ -90,3 +91,24 @@ def test_every_cache_is_bounded():
         if (found := _unbounded_caches(p.read_text(encoding="utf-8")))
     }
     assert unbounded == {}
+
+
+def test_traced_bench_names_exist():
+    # bench/tracing.py wraps these attributes by name; a rename would break
+    # the traced bench run, so the names are read from that file, not copied
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(encoding="utf-8"))
+    (spanned,) = (
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["SPANNED"]
+    )
+    assert spanned
+    missing = [
+        f"{module}.{name}"
+        for module, names in spanned.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"majinv.{module}"), name)
+    ]
+    assert missing == []

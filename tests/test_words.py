@@ -125,3 +125,14 @@ def test_enumerate_class_is_the_full_multiset_orbit(counts):
     base = [x for x in range(1, len(counts) + 1) for _ in range(counts[x - 1])]
     orbit = sorted(set(permutations(base)))
     assert [w.letters for w in enumerate_class(c)] == orbit
+
+
+def test_enumerate_class_needs_no_stack_for_long_classes():
+    # one word per letter of stack would pass the interpreter's recursion
+    # limit here; the iterative successor walk needs none
+    (only,) = enumerate_class(Composition((3000,)))
+    assert only.letters == (1,) * 3000
+    words = [w.letters for w in enumerate_class(Composition((1500, 1)))]
+    assert len(words) == 1501
+    assert words[0] == (1,) * 1500 + (2,) and words[-1] == (2,) + (1,) * 1500
+    assert words == sorted(words)
