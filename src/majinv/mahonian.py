@@ -6,14 +6,23 @@ the claimed property.  Violations are collected, never raised: a failed
 check is data.
 
 The pair sweeps are exact but large (2**(r*r) squared pairs), so they are
-staged by weight.  At weight n every surviving pair is evaluated on the words
-of weight n, through per-word contribution tables indexed by relation
-bitmasks, and it survives when each class carries the same multiset of values
-as its target statistic; only those survivors are tried at weight n + 1.  The
-filter is exact: equidistribution up to weight W implies it up to every lower
-weight, and weights 0 and 1 hold for every pair, since a word of length <= 1
-has no descent and no inversion.  The tables implement the same definitions
-as the statistics module and the test suite cross-checks the two routes.
+staged by weight and seeded by heredity.  Dropping letter k from a pair
+(X, Y) on [r] and relabelling the rest in order gives a pair on [r-1], and
+every class that omits k is a class of that restriction.  So the sweep at
+size r first sweeps size r-1, and at weight n its candidates are the
+survivors of weight n-1 (at weight 2, every pair) whose r restrictions all
+survived weight n at size r-1; size 1 has no restriction.  The candidates
+are then scored only on the classes of weight n that use all r letters,
+through per-word contribution tables indexed by relation bitmasks: a pair
+survives when each class carries the same multiset of values as its target
+statistic.  Below weight r there is no such class, and heredity alone
+decides.  The seeding is exact, since the classes of weight n are those that
+use every letter and those that omit one, and the latter are exactly the
+classes of the restrictions.  Weights 0 and 1 hold for every pair, since a
+word of length <= 1 has no descent and no inversion.  The tables implement
+the same definitions as the statistics module and the test suite
+cross-checks the two routes; it also keeps the unseeded sweep, which scores
+every pair on every class, as the oracle of this one.
 
 The sweeps, the closure suite and verify_psi test kappa-extension on masks,
 against one cached array of relations.kappa_bounds per alphabet size, and
@@ -182,20 +191,33 @@ def _mask_table(cells: np.ndarray) -> np.ndarray:
     return tab
 
 
-def _check_word_bytes(r: int, lengths: range, word_bytes: int, what: str) -> None:
-    """Refuse before ``what`` takes ``word_bytes`` bytes per word over [r]
-    whose length is in ``lengths``, when together they would take more than
-    qseries.BYTE_BUDGET bytes.  A mask table has 2**(r*r) rows and one int64
-    column per word."""
+def _check_word_bytes(counts, word_bytes: int, what: str) -> None:
+    """Refuse before ``what`` takes ``word_bytes`` bytes per word, for the
+    word counts ``counts`` summed, when together they would take more than
+    qseries.BYTE_BUDGET bytes.  The counts are read lazily, so the refusal
+    comes as soon as the sum passes the budget."""
     words_allowed = qseries.BYTE_BUDGET // word_bytes
     nwords = 0
-    for n in lengths:
-        nwords += r ** min(n, 64)  # for r >= 2, r**64 words exceed any budget
+    for count in counts:
+        nwords += count
         if nwords > words_allowed:
             raise ValueError(
                 f"refusing to {what} over {nwords:,} or more words: they exceed "
                 f"the budget of {qseries.BYTE_BUDGET:,} bytes"
             )
+
+
+def _words_of_lengths(r: int, lengths: range):
+    """The number of words over [r] of each length in ``lengths``."""
+    return (r ** min(n, 64) for n in lengths)  # for r >= 2, r**64 exceeds any budget
+
+
+def _full_support_words(r: int, n: int) -> int:
+    """The number of words of length n over [r] that use every letter, by
+    inclusion-exclusion.  Past length 64 it is counted at 64, which for
+    r >= 2 already exceeds any budget."""
+    n = min(n, 64)
+    return sum((-1) ** j * math.comb(r, j) * (r - j) ** n for j in range(r + 1))
 
 
 def _stat_tables(r: int, letters_list: list[tuple[int, ...]]):
@@ -208,14 +230,12 @@ def _stat_tables(r: int, letters_list: list[tuple[int, ...]]):
     )
 
 
-def _class_words(r: int, weights) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The letters of every word over [r] whose weight is in ``weights``,
-    grouped by class, with the class index of each word.  Classes follow the
-    order of ``weights``, so with ascending weights every prefix of a word is
-    listed before the word."""
+def _class_words(classes) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The letters of every word of the ``classes``, grouped by class, with
+    the class index of each word.  With classes in ascending weight, every
+    prefix of a word is listed before the word."""
     letters_list: list[tuple[int, ...]] = []
     class_of: list[int] = []
-    classes = (c for n in weights for c in compositions_of_weight(r, n))
     for ci, c in enumerate(classes):
         for w in enumerate_class(c):
             letters_list.append(w.letters)
@@ -224,50 +244,99 @@ def _class_words(r: int, weights) -> tuple[list[tuple[int, ...]], list[int]]:
 
 
 def _weight_tables(r: int, n: int):
-    """Class keys and bitmask statistic tables of the words of weight n.
+    """Class keys and bitmask statistic tables of the words of weight n over
+    [r] that use every letter.
 
     Words are grouped by class; ``keybase`` holds class_index * stride with a
     stride above every maj + inv value of a weight-n word.
     """
-    letters_list, class_of = _class_words(r, (n,))
+    letters_list, class_of = _class_words(
+        c for c in compositions_of_weight(r, n) if all(c.counts)
+    )
     stride = 1 << (n * (n - 1)).bit_length()
     keybase = np.array(class_of, dtype=np.int64) * stride
     return (keybase, *_stat_tables(r, letters_list))
 
 
+@functools.lru_cache(maxsize=PAIR_SWEEP_CAP)
+def _restriction_table(r: int) -> np.ndarray:
+    """Row k maps every mask on [r] to the mask of its restriction to [r]
+    minus the letter k + 1, the other letters relabelled 1..r-1 in order.
+    Cached and read-only."""
+    masks = np.arange(1 << (r * r))
+    table = np.zeros((r, masks.size), dtype=np.int64)
+    for k in range(r):
+        rest = [x for x in range(r) if x != k]
+        for i, x in enumerate(rest):
+            for j, y in enumerate(rest):
+                table[k] |= ((masks >> (x * r + y)) & 1) << (i * (r - 1) + j)
+    table.flags.writeable = False
+    return table
+
+
+def _score(r: int, n: int, alive: np.ndarray, masks_of) -> np.ndarray:
+    """The flat pair indices of ``alive`` whose statistic carries the same
+    multiset of values as its target on every class of weight n over [r]
+    that uses all r letters."""
+    keybase, invtab, majtab = _weight_tables(r, n)
+    want = np.sort(invtab + keybase, axis=1)
+    bits = r * r
+    step = max(1, STAGE_CELL_BUDGET // keybase.size)
+    kept = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, alive.size, step):
+        idx = alive[lo : lo + step]
+        maj, inv, target = masks_of(r, idx >> bits, idx & ((1 << bits) - 1))
+        got = np.sort(majtab[maj] + invtab[inv] + keybase, axis=1)
+        kept.append(idx[(got == want[target]).all(axis=1)])
+    return np.concatenate(kept)
+
+
+def _sweep_levels(r: int, max_weight: int, masks_of):
+    """The pass arrays of the pairs on [r] after each weight 2..max_weight,
+    each a boolean array indexed by (X, Y), with the survivor count and the
+    scored count per weight.  Sweeps [r-1] first, for the seeding of the
+    module docstring."""
+    side = 1 << (r * r)
+    if r > 1:
+        below = _sweep_levels(r - 1, max_weight, masks_of)[0]
+        restrict = _restriction_table(r)
+    passed = np.ones(side * side, dtype=bool)  # weights 0 and 1: every pair
+    passes, survivors, scored = [], {}, {}
+    for n in range(2, max_weight + 1):
+        if r > 1:
+            # entry [X, Y] of below[n - 2][d][:, d] is the verdict on the
+            # restriction of (X, Y) that row d of the table gives
+            passed = passed & np.logical_and.reduce(
+                [below[n - 2][d][:, d] for d in restrict]
+            ).ravel()
+        scored[n] = 0
+        if n >= r:  # below weight r no class uses every letter
+            alive = np.flatnonzero(passed)
+            scored[n] = int(alive.size)
+            passed = np.zeros(side * side, dtype=bool)
+            passed[_score(r, n, alive, masks_of)] = True
+        survivors[n] = int(np.count_nonzero(passed))
+        passes.append(passed.reshape(side, side))
+    return passes, survivors, scored
+
+
 def _staged_sweep(r: int, max_weight: int, masks_of):
     """Sweep the ordered mask pairs (X, Y) on [r], flat index X * 2**(r*r) + Y.
 
-    ``masks_of(x, y)`` maps mask arrays to the masks (A, B, T) of a
-    statistic maj'_A + inv'_B and its target inv'_T.  A pair passes when on
+    ``masks_of(k, x, y)`` maps mask arrays on [k] to the masks (A, B, T) of
+    a statistic maj'_A + inv'_B and its target inv'_T.  A pair passes when on
     every class of weight 2..max_weight the two carry the same multiset of
-    values; only the survivors of weight n are tried at n + 1.  Returns the
-    boolean pass array over flat indices and the survivor count per weight.
+    values.  Returns the boolean pass array over flat indices, and per weight
+    the survivor count and the number of pairs scored on the classes that use
+    all r letters.
     """
-    # the inv', maj' and sorted target tables of the last weight are held at once
-    last = range(max_weight, max_weight + 1)
-    _check_word_bytes(r, last, 3 * 8 << (r * r), "build 3 bitmask tables")
-    bits = r * r
-    npairs = 1 << (2 * bits)
-    alive = None  # before weight 2, every flat index
-    survivors: dict[int, int] = {}
-    for n in range(2, max_weight + 1):
-        keybase, invtab, majtab = _weight_tables(r, n)
-        want = np.sort(invtab + keybase, axis=1)
-        count = npairs if alive is None else alive.size
-        step = max(1, STAGE_CELL_BUDGET // keybase.size)
-        kept = [np.empty(0, dtype=np.int64)]
-        for lo in range(0, count, step):
-            hi = min(lo + step, count)
-            idx = np.arange(lo, hi) if alive is None else alive[lo:hi]
-            maj, inv, target = masks_of(idx >> bits, idx & ((1 << bits) - 1))
-            got = np.sort(majtab[maj] + invtab[inv] + keybase, axis=1)
-            kept.append(idx[(got == want[target]).all(axis=1)])
-        alive = np.concatenate(kept)
-        survivors[n] = int(alive.size)
-    passed = np.zeros(npairs, dtype=bool)
-    passed[alive] = True
-    return passed, survivors
+    # the inv', maj' and sorted target tables of one level's weight are held
+    # at once; each level tables the most words at the last weight
+    for k in range(1, r + 1):
+        words = (_full_support_words(k, max_weight),)
+        _check_word_bytes(words, 3 * 8 << (k * k), "build 3 bitmask tables")
+    passes, survivors, scored = _sweep_levels(r, max_weight, masks_of)
+    return passes[-1].ravel(), survivors, scored
 
 
 @functools.lru_cache(maxsize=PAIR_SWEEP_CAP)
@@ -321,7 +390,9 @@ def verify_theorem_majinv(r: int, max_weight: int) -> Report:
     equidistribution up to max_weight holds exactly for kappa-extensions."""
     _check_size(r, PAIR_SWEEP_CAP)
     _check_max_weight(max_weight)
-    got, survivors = _staged_sweep(r, max_weight, lambda u, s: (u, s & ~u, s))
+    got, survivors, scored = _staged_sweep(
+        r, max_weight, lambda k, u, s: (u, s & ~u, s)
+    )
     bounds = _kappa_bounds_table(r)
     expected = _extends(np.arange(len(bounds)), bounds[:, None]).ravel()
     report = Report(checked=got.size)
@@ -333,6 +404,7 @@ def verify_theorem_majinv(r: int, max_weight: int) -> Report:
         "equidistributed_pairs": int(got.sum()),
         "max_weight": max_weight,
         "survivors_by_weight": survivors,
+        "scored_by_weight": scored,
     }
     return report
 
@@ -344,9 +416,11 @@ def verify_classification(r: int, max_weight: int) -> Report:
     and that order kappa-extends U; the count of winners must be r! * r!."""
     _check_size(r, PAIR_SWEEP_CAP)
     _check_max_weight(max_weight)
-    # inv'_{natural order} is inv, whose class distributions are q-multinomial
-    natural = natural_order(r).mask
-    got, survivors = _staged_sweep(r, max_weight, lambda u, v: (u, v, natural))
+    # inv'_{natural order} is inv, whose class distributions are q-multinomial;
+    # each size k of the seeding targets the natural order of [k]
+    got, survivors, scored = _staged_sweep(
+        r, max_weight, lambda k, u, v: (u, v, natural_order(k).mask)
+    )
 
     bounds = _kappa_bounds_table(r)
     expected = np.zeros((len(bounds), len(bounds)), dtype=bool)
@@ -372,6 +446,7 @@ def verify_classification(r: int, max_weight: int) -> Report:
         "expected_count": expected_count,
         "max_weight": max_weight,
         "survivors_by_weight": survivors,
+        "scored_by_weight": scored,
     }
     return report
 
@@ -382,7 +457,8 @@ def verify_distinctness(r: int, max_len: int) -> Report:
     length <= max_len; unseparated pairs are reported as violations."""
     _check_size(r, PAIR_SWEEP_CAP)
     lengths = range(1, max_len + 1)
-    _check_word_bytes(r, lengths, WORD_BYTES + 8 * max_len, "list")
+    word_bytes = WORD_BYTES + 8 * max_len
+    _check_word_bytes(_words_of_lengths(r, lengths), word_bytes, "list")
     stats = [st for order in total_orders(r) for st in enumerate_mahonian_stats(order)]
     words = [w for n in lengths for w in words_of_length(r, n)]
     report = Report(checked=len(stats) * (len(stats) - 1) // 2)
@@ -547,8 +623,12 @@ def verify_psi(r: int, max_len: int) -> Report:
     """
     _check_size(r, PAIR_SWEEP_CAP)
     lengths = range(max_len + 1)
-    _check_word_bytes(r, lengths, 2 * 8 << (r * r), "build 2 bitmask tables")
-    letters_list, class_of = _class_words(r, lengths)
+    _check_word_bytes(
+        _words_of_lengths(r, lengths), 2 * 8 << (r * r), "build 2 bitmask tables"
+    )
+    letters_list, class_of = _class_words(
+        c for n in lengths for c in compositions_of_weight(r, n)
+    )
     index = {ls: i for i, ls in enumerate(letters_list)}
     class_arr = np.array(class_of, dtype=np.int64)
     last = np.array([ls[-1] if ls else 0 for ls in letters_list], dtype=np.int64)

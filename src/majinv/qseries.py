@@ -49,10 +49,17 @@ from itertools import accumulate, compress
 from typing import Iterable
 
 from .statistics import MajInvStatistic
-from .words import Composition, compositions_up_to
+from .words import Composition, class_size, compositions_up_to
 from .relations import Bipartition, Relation, json_int
 
 BYTE_BUDGET = 1 << 30  # largest table or coefficient list built at once, well under the RAM
+# words one distribution request may walk: at about 0.9 million words a second
+# (Python 3.11, 2 vCPUs) a certificate over [2] up to weight 19, 1,048,575
+# words, took 1.1 s, and the class (5, 5, 5), 756,756 words, 0.8 s
+WORD_BUDGET = 1 << 20
+# the walk recurses once per letter placed before one letter kind is left,
+# n - (least non-zero count) levels, under Python's default limit of 1,000
+WALK_DEPTH_CAP = 800
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,6 +218,16 @@ def q_factorial(n: int) -> QPolynomial:
     return out
 
 
+def _check_words(words: int, what: str) -> None:
+    """Refuse ``what``, whose walk would visit ``words`` words, past
+    WORD_BUDGET, before anything is walked."""
+    if words > WORD_BUDGET:
+        raise ValueError(
+            f"refusing {what}: at least {words:,} words to walk, past the budget "
+            f"of {WORD_BUDGET:,} words"
+        )
+
+
 def _check_coefficients(n: int, length: int) -> None:
     """Refuse a polynomial on a class of weight n whose coefficient list of
     ``length`` slots would take more than BYTE_BUDGET bytes, before it is
@@ -273,8 +290,10 @@ def distribution(stat: MajInvStatistic, c: Composition) -> QPolynomial:
     """Sum of q**stat(w) over the rearrangement class of c.
 
     The polynomial of the restricted key of the module docstring, walked
-    once and then read from the memo.  A class whose coefficient list would
-    take more than BYTE_BUDGET bytes is refused before anything is built.
+    once and then read from the memo.  Refused before anything is built: a
+    class whose coefficient list would take more than BYTE_BUDGET bytes, one
+    of more than WORD_BUDGET words, and one whose walk would recurse past
+    WALK_DEPTH_CAP.
     """
     if stat.size != c.size:
         raise ValueError("statistic and composition alphabet sizes differ")
@@ -282,9 +301,17 @@ def distribution(stat: MajInvStatistic, c: Composition) -> QPolynomial:
     if n == 0:
         return QPolynomial.one()
     _check_coefficients(n, n * (n - 1) + 1)
+    counts = tuple(filter(None, c.counts))
+    depth = n - min(counts)
+    if depth > WALK_DEPTH_CAP:
+        raise ValueError(
+            f"refusing the class {c.text()}: its walk would recurse {depth:,} "
+            f"letters deep, past the cap of {WALK_DEPTH_CAP:,}"
+        )
+    _check_words(class_size(c), f"the class {c.text()}")
     support = tuple(compress(range(c.size), c.counts))
     u_rows, v_rows = _restrict(stat.maj_relation, stat.inv_relation, support)
-    return _walk(u_rows, v_rows, tuple(filter(None, c.counts)))
+    return _walk(u_rows, v_rows, counts)
 
 
 # the classes bench workload: 1,685 keys, 95 hits in 1,780 calls; the
@@ -346,6 +373,14 @@ def _walk(
     return QPolynomial.from_coeffs(coeffs)
 
 
+def _words_up_to(r: int, max_weight: int) -> int:
+    """The words over [r] of weight <= max_weight.  For r >= 2 weights past
+    64 are left out, since the words of weight 64 alone pass any budget."""
+    if r == 1:
+        return max_weight + 1
+    return (r ** (min(max_weight, 64) + 1) - 1) // (r - 1)
+
+
 @lru_cache(maxsize=16)
 def _support_groups(r: int, max_weight: int) -> tuple:
     """The classes of compositions_up_to(r, max_weight) with a non-empty
@@ -384,12 +419,17 @@ def distributions_up_to(stat: MajInvStatistic, max_weight: int) -> list[QPolynom
 
     The statistic is restricted once per support, and the polynomials of all
     the classes with that support are read as one memoized tuple.  Refuses
-    max_weight past BYTE_BUDGET as distribution does.
+    max_weight past BYTE_BUDGET as distribution does, and a request of more
+    than WORD_BUDGET words.  Under that budget no walk recurses past
+    WALK_DEPTH_CAP: a class over [1] has one letter kind, and over two or
+    more letters the weight stays below 20.
     """
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
     _check_coefficients(max_weight, max_weight * (max_weight - 1) + 1)
     r = stat.size
+    what = f"a certificate up to weight {max_weight:,} over [{r}]"
+    _check_words(_words_up_to(r, max_weight), what)
     u, v = stat.maj_relation, stat.inv_relation
     out = [QPolynomial.one()] * len(compositions_up_to(r, max_weight))
     for support, positions in _support_groups(r, max_weight):

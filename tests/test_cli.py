@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -389,6 +393,7 @@ GOLDEN_REPORTS = [
                 "kappa_extension_pairs": 43,
                 "max_weight": 3,
                 "survivors_by_weight": {"2": 81, "3": 43},
+                "scored_by_weight": {"2": 144, "3": 81},
             },
         },
     ),
@@ -403,6 +408,7 @@ GOLDEN_REPORTS = [
                 "mahonian_pairs": 4,
                 "max_weight": 3,
                 "survivors_by_weight": {"2": 4, "3": 4},
+                "scored_by_weight": {"2": 16, "3": 4},
             },
         },
     ),
@@ -455,6 +461,7 @@ GOLDEN_REPORTS = [
                 "mahonian_pairs": 42,
                 "max_weight": 3,
                 "survivors_by_weight": {"2": 64, "3": 42},
+                "scored_by_weight": {"2": 0, "3": 64},
             },
         },
     ),
@@ -1018,6 +1025,33 @@ def test_verify_theorem_majinv_at_a_weight_past_the_recursion_limit(capsys):
         report = json.loads(out)
         assert code == 0 and report["violations"] == []
         assert report["witnesses"]["survivors_by_weight"]["1200"] == 3
+
+
+def test_walks_past_the_recursion_depth_or_word_budget_are_refused_quickly(capsys):
+    # a class of 1,201 words whose walk would recurse 1,200 letters deep, and
+    # a certificate over the 2**41 - 1 words of weight <= 40 over [2]
+    for argv, reason in (
+        (("distribution", "--stat", "inv", "--composition", "1200,1"), "recurse"),
+        (("verify", "macmahon", "--size", "2", "--max-weight", "40"), "budget"),
+        (("distribution", "--stat", "maj", "--composition", "6,6,6"), "budget"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 1 and out == "", argv
+        assert err.startswith("error:") and reason in err, argv
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "majinv", "verify", "closure", "--size", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["violations"] == []
 
 
 def test_verify_macmahon_at_weight_100_ends_quickly(capsys):

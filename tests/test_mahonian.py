@@ -180,6 +180,172 @@ def test_survivors_by_weight_r3():
     assert classification.witnesses["survivors_by_weight"] == {
         2: 64, 3: 42, 4: 42, 5: 42
     }
+    # heredity decides weight 2 alone, and the scored pairs are a sliver of
+    # the 4**9 an unseeded sweep scores at weight 2
+    assert theorem.witnesses["scored_by_weight"] == {2: 0, 3: 3195, 4: 1701, 5: 1701}
+    assert classification.witnesses["scored_by_weight"] == {2: 0, 3: 64, 4: 42, 5: 42}
+
+
+# The pair sweep as it was before heredity seeding: every pair on [r] scored
+# on every class of each weight.  Kept as the oracle of the seeded sweep.
+def _unseeded_sweep(r, max_weight, masks_of):
+    """Pass arrays over flat pair indices after each weight 2..max_weight,
+    and the survivor count per weight."""
+    from majinv.mahonian import STAGE_CELL_BUDGET, _class_words, _stat_tables
+
+    bits = r * r
+    npairs = 1 << (2 * bits)
+    alive = None  # before weight 2, every flat index
+    passes, survivors = [], {}
+    for n in range(2, max_weight + 1):
+        letters_list, class_of = _class_words(compositions_of_weight(r, n))
+        stride = 1 << (n * (n - 1)).bit_length()
+        keybase = np.array(class_of, dtype=np.int64) * stride
+        invtab, majtab = _stat_tables(r, letters_list)
+        want = np.sort(invtab + keybase, axis=1)
+        count = npairs if alive is None else alive.size
+        step = max(1, STAGE_CELL_BUDGET // keybase.size)
+        kept = [np.empty(0, dtype=np.int64)]
+        for lo in range(0, count, step):
+            hi = min(lo + step, count)
+            idx = np.arange(lo, hi) if alive is None else alive[lo:hi]
+            maj, inv, target = masks_of(r, idx >> bits, idx & ((1 << bits) - 1))
+            got = np.sort(majtab[maj] + invtab[inv] + keybase, axis=1)
+            kept.append(idx[(got == want[target]).all(axis=1)])
+        alive = np.concatenate(kept)
+        survivors[n] = int(alive.size)
+        passed = np.zeros(npairs, dtype=bool)
+        passed[alive] = True
+        passes.append(passed)
+    return passes, survivors
+
+
+SWEEP_MASKS = {
+    "theorem": lambda k, u, s: (u, s & ~u, s),
+    "classification": lambda k, u, v: (u, v, natural_order(k).mask),
+}
+
+
+def _restricted_mask(r, mask, k):
+    """The restriction of the relation with this mask to [r] minus the letter
+    k + 1, the other letters relabelled in order, from its pairs."""
+    label = {x: i for i, x in enumerate(x for x in range(1, r + 1) if x != k + 1)}
+    pairs = [
+        (label[x] + 1, label[y] + 1)
+        for x, y in Relation.from_mask(r, mask).pairs()
+        if x in label and y in label
+    ]
+    return Relation.from_pairs(r - 1, pairs).mask
+
+
+def test_restriction_table_matches_the_pairs():
+    from majinv.mahonian import _restriction_table
+
+    for r in (2, 3):
+        table = _restriction_table(r)
+        assert table.shape == (r, 1 << (r * r))
+        for k in range(r):
+            assert table[k].tolist() == [
+                _restricted_mask(r, m, k) for m in range(1 << (r * r))
+            ]
+
+
+@pytest.fixture(scope="module")
+def unseeded():
+    """The oracle's pass arrays and survivors per suite and size, to weight 5."""
+    return {
+        (suite, r): _unseeded_sweep(r, 5, masks_of)
+        for suite, masks_of in SWEEP_MASKS.items()
+        for r in (1, 2, 3)
+    }
+
+
+def _seeded_mismatches(unseeded):
+    """The (suite, r, W) at which the seeded sweep and the oracle differ."""
+    from majinv.mahonian import _staged_sweep
+
+    bad = []
+    for (suite, r), (passes, survivors) in unseeded.items():
+        for w in range(2, 6):
+            got, got_survivors, _ = _staged_sweep(r, w, SWEEP_MASKS[suite])
+            expected = {n: survivors[n] for n in range(2, w + 1)}
+            if not (np.array_equal(got, passes[w - 2]) and got_survivors == expected):
+                bad.append((suite, r, w))
+    return bad
+
+
+def test_seeded_sweep_matches_the_unseeded_oracle(unseeded):
+    assert _seeded_mismatches(unseeded) == []
+
+
+def test_scored_pairs_are_the_inherited_survivors(unseeded):
+    # at size 3 the pairs scored at weight n are the survivors of weight n - 1
+    # whose three restrictions survived weight n at size 2
+    from majinv.mahonian import _staged_sweep
+
+    side = 1 << 9
+    restrict = np.array(
+        [[_restricted_mask(3, m, k) for m in range(side)] for k in range(3)]
+    )
+    for suite, masks_of in SWEEP_MASKS.items():
+        passes, _ = unseeded[(suite, 3)]
+        below, _ = unseeded[(suite, 2)]
+        _, _, scored = _staged_sweep(3, 5, masks_of)
+        assert scored[2] == 0  # no class of weight 2 uses all three letters
+        for n in (3, 4, 5):
+            prev = passes[n - 3].reshape(side, side)
+            inherited = prev.copy()
+            for d in restrict:
+                inherited &= below[n - 2].reshape(16, 16)[d][:, d]
+            assert scored[n] == int(inherited.sum()), (suite, n)
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        # seeding from the restriction that drops the last letter only
+        lambda table: table[-1:],
+        # relabelling the rows of a restriction in order but its columns in
+        # reverse
+        lambda table: np.array(
+            [
+                sum(
+                    ((m >> (i * (len(table) - 1) + j)) & 1)
+                    << (i * (len(table) - 1) + len(table) - 2 - j)
+                    for i in range(len(table) - 1)
+                    for j in range(len(table) - 1)
+                )
+                for m in table.ravel().tolist()
+            ]
+        ).reshape(table.shape),
+    ],
+    ids=["last-letter-only", "columns-relabelled-in-reverse"],
+)
+def test_oracle_catches_a_broken_seeding(unseeded, monkeypatch, mutant):
+    from majinv import mahonian
+
+    table_of = mahonian._restriction_table
+    monkeypatch.setattr(mahonian, "_restriction_table", lambda r: mutant(table_of(r)))
+    assert _seeded_mismatches(unseeded) != []
+
+
+def test_sweep_budget_counts_the_words_that_use_every_letter():
+    import itertools
+
+    from majinv.mahonian import _full_support_words
+    from majinv.qseries import BYTE_BUDGET
+
+    for r in (1, 2, 3):
+        for n in range(7):
+            words = itertools.product(range(r), repeat=n)
+            assert _full_support_words(r, n) == sum(len(set(w)) == r for w in words)
+    # a level over [3] holds three int64 tables of 2**9 rows: weight 10 fits
+    # the budget and weight 11 does not, as when every word was tabled
+    per_word = 3 * 8 << 9
+    assert _full_support_words(3, 10) * per_word <= BYTE_BUDGET
+    assert _full_support_words(3, 11) * per_word > BYTE_BUDGET
+    with pytest.raises(ValueError, match="budget"):
+        verify_classification(3, 11)
 
 
 def _extension_matrix(r):

@@ -384,6 +384,51 @@ def test_distribution_refuses_a_class_past_the_byte_budget(monkeypatch):
             distribution(stat, c)
 
 
+def test_distribution_refuses_a_walk_past_the_depth_cap(monkeypatch):
+    # the walk recurses n - (least non-zero count) letters deep; at the real
+    # cap it still fits under the interpreter's recursion limit
+    stat = inv_stat(3)
+    cap = qseries.WALK_DEPTH_CAP
+    c = Composition((cap, 1, 0))
+    assert distribution(stat, c) == q_multinomial(c)
+    with pytest.raises(ValueError, match="recurse"):
+        distribution(stat, Composition((cap + 1, 1, 0)))
+    monkeypatch.setattr(qseries, "WALK_DEPTH_CAP", 4)
+    for counts in ((4, 1, 0), (2, 2, 2)):  # depth 4 each
+        c = Composition(counts)
+        assert distribution(stat, c) == q_multinomial(c)
+    assert distribution(stat, Composition((9, 0, 0))) == QPolynomial.one()  # depth 0
+    for counts in ((4, 1, 1), (5, 1, 0)):  # depth 5
+        with pytest.raises(ValueError, match="recurse"):
+            distribution(stat, Composition(counts))
+
+
+def test_distribution_refuses_a_class_past_the_word_budget(monkeypatch):
+    # the budget is checked before the memo, so a cached class is refused too
+    stat = maj_stat(3)
+    c = Composition((2, 1, 1))  # 12 words
+    assert distribution(stat, c) == q_multinomial(c)
+    monkeypatch.setattr(qseries, "WORD_BUDGET", 12)
+    assert distribution(stat, c) == q_multinomial(c)
+    monkeypatch.setattr(qseries, "WORD_BUDGET", 11)
+    with pytest.raises(ValueError, match="budget"):
+        distribution(stat, c)
+
+
+def test_certificates_refuse_requests_past_the_word_budget(monkeypatch):
+    # a certificate up to weight W over [r] walks sum over n <= W of r**n words
+    stat = inv_stat(2)
+    assert qseries._words_up_to(2, 3) == 1 + 2 + 4 + 8
+    assert qseries._words_up_to(1, 11585) == 11586
+    assert qseries._words_up_to(2, 10**9) == 2**65 - 1  # counted up to weight 64
+    monkeypatch.setattr(qseries, "WORD_BUDGET", 15)
+    assert is_mahonian_up_to(stat, 3)
+    for weight in (4, 10**4):
+        with pytest.raises(ValueError, match="budget"):
+            distributions_up_to(stat, weight)
+    assert len(distributions_up_to(maj_stat(1), 14)) == 15
+
+
 coeffs_st = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6)
 
 
