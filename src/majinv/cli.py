@@ -198,6 +198,7 @@ VERIFY_SUITES = {
     "closure": ("verify_kappa_machinery", ("size",)),
     "product-formula": ("verify_product_formula", ("size", "max_weight")),
     "applications": ("verify_applications", ("max_weight",)),
+    "psi": ("verify_psi", ("size", "max_len")),
 }
 
 

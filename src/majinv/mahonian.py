@@ -27,6 +27,20 @@ every pair on every class, as the oracle of this one.
 The sweeps, the closure suite and verify_psi test kappa-extension on masks,
 against one cached array of relations.kappa_bounds per alphabet size, and
 take their words from one class-grouped list.
+
+verify_psi checks the transformation theorem once per U, not once per (U, S).
+The kappa-extensions of U form a cube: S = need | F for every F within the
+free cells, those in neither need nor forbid.  With pc[w] and ac[w] the pair
+and adjacency cell rows of a word w, inv'_S(w) = pc[w] . bits(S) and
+maj'_U(w) = ac[w] . bits(U); and U lies in need, so in every S.  Hence
+
+  inv'_S(psi w) - maj'_U(w) - inv'_{S minus U}(w) = D[w] . bits(S) + e[w],
+
+with D = pc[psi w] - pc[w] and e = (pc[w] - ac[w]) . bits(U).  That is linear
+in the bits of S, so it is 0 on the whole cube iff it is 0 at S = need and
+D[w] is 0 in every free cell.  Only a U that fails this has its cube walked,
+to list each failing S.  The test suite keeps the per-(U, S) loop over
+2**(r*r)-row tables as the oracle of this check.
 """
 
 from __future__ import annotations
@@ -68,7 +82,7 @@ from .statistics import (
     subset_stat,
     subset_stat_total,
 )
-from .transform import _psi_letters
+from .transform import psi_images
 from .words import (
     Composition,
     class_size,
@@ -82,6 +96,16 @@ RELATION_ENUM_CAP = 4  # single-relation sweeps walk 2**(r*r) masks
 PAIR_SWEEP_CAP = 3  # pair sweeps walk 4**(r*r) ordered pairs
 STAGE_CELL_BUDGET = 1 << 16  # word cells per sweep chunk; bounds the temporaries
 WORD_BYTES = 96  # a listed Word takes this plus 8 bytes per letter, by tracemalloc
+# letters of the words a pair sweep tables, over all its sizes and weights.  A
+# sweep's time grows with them: theorem-majinv took 0.33 s at r = 1, W = 1200
+# (720,599 letters) and 1.4 s at r = 3, W = 9 (234,660; each word there has
+# 512 mask rows), on 2 vCPUs.  r = 3, W = 10 (804,690) is refused.
+SWEEP_LETTER_BUDGET = 3 << 18
+# verify_psi's kappa-extensible relations x words x max_len.  At the edge, on
+# 2 vCPUs: r = 1, max_len 2895 took 3.7 s (the per-word cell rows dominate);
+# r = 2, max_len 15 0.9 s; r = 3, max_len 8 0.4 s; r = 4, max_len 5 1.7 s,
+# 1.2 s of it the kappa bounds of the 65,536 relations on [4].
+PSI_WORK_BUDGET = 1 << 24
 
 
 @dataclass
@@ -191,20 +215,26 @@ def _mask_table(cells: np.ndarray) -> np.ndarray:
     return tab
 
 
+def _check_budget(costs, budget: int, unit: str, what: str) -> None:
+    """Refuse to do ``what`` when the ``costs`` summed pass ``budget``.  The
+    costs are read lazily, so the refusal comes as soon as the sum passes."""
+    total = 0
+    for cost in costs:
+        total += cost
+        if total > budget:
+            raise ValueError(
+                f"refusing to {what}: that takes {total:,} or more {unit}, "
+                f"past the budget of {budget:,} {unit}"
+            )
+
+
 def _check_word_bytes(counts, word_bytes: int, what: str) -> None:
     """Refuse before ``what`` takes ``word_bytes`` bytes per word, for the
     word counts ``counts`` summed, when together they would take more than
-    qseries.BYTE_BUDGET bytes.  The counts are read lazily, so the refusal
-    comes as soon as the sum passes the budget."""
-    words_allowed = qseries.BYTE_BUDGET // word_bytes
-    nwords = 0
-    for count in counts:
-        nwords += count
-        if nwords > words_allowed:
-            raise ValueError(
-                f"refusing to {what} over {nwords:,} or more words: they exceed "
-                f"the budget of {qseries.BYTE_BUDGET:,} bytes"
-            )
+    qseries.BYTE_BUDGET bytes."""
+    _check_budget(
+        (count * word_bytes for count in counts), qseries.BYTE_BUDGET, "bytes", what
+    )
 
 
 def _words_of_lengths(r: int, lengths: range):
@@ -335,11 +365,17 @@ def _staged_sweep(r: int, max_weight: int, masks_of):
     for k in range(1, r + 1):
         words = (_full_support_words(k, max_weight),)
         _check_word_bytes(words, 3 * 8 << (k * k), "build 3 bitmask tables")
+    tabled = (
+        n * _full_support_words(k, n)
+        for k in range(1, r + 1)
+        for n in range(max(2, k), max_weight + 1)
+    )
+    _check_budget(tabled, SWEEP_LETTER_BUDGET, "tabled letters", "sweep")
     passes, survivors, scored = _sweep_levels(r, max_weight, masks_of)
     return passes[-1].ravel(), survivors, scored
 
 
-@functools.lru_cache(maxsize=PAIR_SWEEP_CAP)
+@functools.lru_cache(maxsize=RELATION_ENUM_CAP)
 def _kappa_bounds_table(r: int) -> np.ndarray:
     """Row u holds kappa_bounds of the relation with mask u, as the columns
     (need, forbid).  Cached and read-only, since every caller shares the one
@@ -458,7 +494,7 @@ def verify_distinctness(r: int, max_len: int) -> Report:
     _check_size(r, PAIR_SWEEP_CAP)
     lengths = range(1, max_len + 1)
     word_bytes = WORD_BYTES + 8 * max_len
-    _check_word_bytes(_words_of_lengths(r, lengths), word_bytes, "list")
+    _check_word_bytes(_words_of_lengths(r, lengths), word_bytes, "list the words")
     stats = [st for order in total_orders(r) for st in enumerate_mahonian_stats(order)]
     words = [w for n in lengths for w in words_of_length(r, n)]
     report = Report(checked=len(stats) * (len(stats) - 1) // 2)
@@ -611,6 +647,82 @@ def verify_macmahon(r: int, max_weight: int) -> Report:
     return report
 
 
+def _bits(masks, r: int) -> np.ndarray:
+    """Row i holds the r*r bits of masks[i], as 0/1 in one column per cell."""
+    return (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(r * r)) & 1
+
+
+def _psi_words(r: int, max_len: int):
+    """The words up to max_len as _class_words lists them, with their class
+    indices, last letters (0 for the empty word) and pair and adjacency cell
+    rows; and ``code_of[i]``, the place of word i when the words are listed
+    by length, then by base-r code as transform.psi_images lists them."""
+    lengths = range(max_len + 1)
+    letters_list, class_of = _class_words(
+        c for n in lengths for c in compositions_of_weight(r, n)
+    )
+    last = np.array([ls[-1] if ls else 0 for ls in letters_list], dtype=np.int64)
+    # a cell count, and a difference of two, lies within max_len**2 of 0
+    cell_type = np.min_scalar_type(-max_len * max_len - 1)
+    pc = np.array([_pair_cells(r, ls) for ls in letters_list], dtype=cell_type)
+    ac = np.array([_adj_cells(r, ls) for ls in letters_list], dtype=cell_type)
+    # the list runs by weight, so the words of length n are a slice of it
+    code_of, start = [], 0
+    for n in lengths:
+        code_of.append(_places(np.array(letters_list[start : start + r**n]), r, start))
+        start += r**n
+    return letters_list, np.array(class_of), last, pc, ac, np.concatenate(code_of)
+
+
+def _places(words: np.ndarray, r: int, start: int) -> np.ndarray:
+    """start plus the base-r code of each word along the last axis, its
+    letters less one as the digits, most significant first.  Formed in
+    float64, exact below 2**53, so that BLAS does the sums."""
+    n = words.shape[-1]
+    codes = (words - 1.0) @ r ** np.arange(n - 1.0, -1.0, -1.0)
+    return codes.astype(np.int64) + start
+
+
+def _image_places(images, r: int) -> np.ndarray:
+    """Row j: the place, in the listing by length and code, of the image of
+    each word there under the j-th relation of a psi_images chunk."""
+    starts = np.cumsum([0] + [img.shape[1] for img in images])
+    return np.concatenate(
+        [_places(img, r, start) for img, start in zip(images, starts)], axis=1
+    )
+
+
+def _cube_holds(pc, ac, image_idx, u, need, free) -> np.ndarray:
+    """Per U, whether inv'_S(psi w) = maj'_U(w) + inv'_{S minus U}(w) for
+    every word w and every S of U's cube, by the test of the module
+    docstring: it holds at S = need, and psi moves no pair count of a free
+    cell.  ``image_idx[j, i]`` is the word psi sends word i to under the j-th
+    U, and ``u``, ``need`` and ``free`` hold the cell bits of each U."""
+    # float64 sums are exact for these small integers and run on BLAS
+    at_need = pc @ need.T.astype(np.float64)  # words x U
+    differs = (
+        np.take_along_axis(at_need, image_idx.T, axis=0)
+        - at_need
+        + (pc - ac) @ u.T.astype(np.float64)
+    )
+    moved = (np.take(pc, image_idx, axis=0) != pc) & free[:, None, :].astype(bool)
+    return ~(differs != 0).any(axis=0) & ~moved.any(axis=(1, 2))
+
+
+def _cube_failures(pc, ac, image, r: int, u: int, need: int, free: int):
+    """(S, first failing word) for each S of U's cube on which the identity
+    fails, S ascending; ``image[i]`` is the word psi sends word i to."""
+    cube = [need]
+    sub = (0 - free) & free  # the subsets of free, counting up
+    while sub:
+        cube.append(need | sub)
+        sub = (sub - free) & free
+    diff = pc[image].astype(np.int64) - pc
+    e = (pc - ac).astype(np.int64) @ _bits([u], r)[0]
+    bad = diff @ _bits(cube, r).T + e[:, None] != 0
+    return [(s, int(col.argmax())) for s, col in zip(cube, bad.T) if col.any()]
+
+
 @_stopwatch
 def verify_psi(r: int, max_len: int) -> Report:
     """For every kappa-extensible U on [r] and every word of length <= max_len:
@@ -618,56 +730,69 @@ def verify_psi(r: int, max_len: int) -> Report:
     letter, and carries maj'_U + inv'_{S minus U} to inv'_S for every
     kappa-extension S of U.
 
-    Images come from psi's own memo; the word list is ordered by weight, so
-    each image is one gamma step on top of its stored prefix's image.
+    The images come from ``transform.psi_images``, a chunk of U at a time.
+    The identity is checked once per U over its whole cube of extensions;
+    only a U that fails has its cube walked, to list each failing S with its
+    first failing word.
     """
-    _check_size(r, PAIR_SWEEP_CAP)
+    _check_size(r, RELATION_ENUM_CAP)
     lengths = range(max_len + 1)
-    _check_word_bytes(
-        _words_of_lengths(r, lengths), 2 * 8 << (r * r), "build 2 bitmask tables"
-    )
-    letters_list, class_of = _class_words(
-        c for n in lengths for c in compositions_of_weight(r, n)
-    )
-    index = {ls: i for i, ls in enumerate(letters_list)}
-    class_arr = np.array(class_of, dtype=np.int64)
-    last = np.array([ls[-1] if ls else 0 for ls in letters_list], dtype=np.int64)
-    invtab, majtab = _stat_tables(r, letters_list)
-
-    full = (1 << (r * r)) - 1
-    masks = np.arange(full + 1)
     bounds = _kappa_bounds_table(r)
-    extensible = np.flatnonzero(bounds[:, 0] & bounds[:, 1] == 0).tolist()
+    extensible = np.flatnonzero(bounds[:, 0] & bounds[:, 1] == 0)
+    steps = len(extensible) * max_len
+    _check_budget(
+        (count * steps for count in _words_of_lengths(r, lengths)),
+        PSI_WORK_BUDGET,
+        "image letters",
+        "check psi",
+    )
+    # per word: its letter tuple and, for one relation, its image letters and
+    # their gather indices; its pc and ac rows; its place, class and last letter
+    _check_word_bytes(
+        _words_of_lengths(r, lengths),
+        WORD_BYTES + 17 * max_len + 2 * 8 * r * r + 48,
+        "tabulate psi",
+    )
+    letters_list, class_arr, last, pc, ac, code_of = _psi_words(r, max_len)
+    nwords = len(letters_list)
+    index_of = np.empty_like(code_of)
+    index_of[code_of] = np.arange(nwords)
+    full = (1 << (r * r)) - 1
 
     report = Report()
     pair_count = 0
-    for u in extensible:
-        u_rel = Relation.from_mask(r, u)
-        image_idx = np.array(
-            [index[_psi_letters(u_rel, ls)] for ls in letters_list], dtype=np.int64
+    for chunk, images in psi_images(r, extensible, max_len):
+        image_idx = index_of[_image_places(images, r)[:, code_of]]
+        bijection = (class_arr[image_idx] == class_arr).all(axis=1) & (
+            np.sort(image_idx, axis=1) == np.arange(nwords)
+        ).all(axis=1)
+        fixed = (last[image_idx] == last).all(axis=1)
+        need, forbid = bounds[chunk, 0], bounds[chunk, 1]
+        free = full & ~(need | forbid)
+        free_bits = _bits(free, r)
+        holds = _cube_holds(
+            pc, ac, image_idx, _bits(chunk, r), _bits(need, r), free_bits
         )
-        report.checked += 1
-        if not (
-            np.array_equal(class_arr[image_idx], class_arr)
-            and np.unique(image_idx).size == len(letters_list)
-        ):
-            report.violations.append(
-                {"u": u_rel.to_json_dict(), "property": "not a class bijection"}
-            )
-        if not np.array_equal(last[image_idx], last):
-            report.violations.append(
-                {"u": u_rel.to_json_dict(), "property": "last letter moved"}
-            )
-        for s in np.flatnonzero(_extends(masks, bounds[u])).tolist():
-            pair_count += 1
-            report.checked += 1
-            lhs = invtab[s][image_idx]
-            rhs = majtab[u] + invtab[s & ~u & full]
-            if not np.array_equal(lhs, rhs):
-                bad = int(np.nonzero(lhs != rhs)[0][0])
+        pairs = int((1 << free_bits.sum(axis=1)).sum())
+        report.checked += len(chunk) + pairs
+        pair_count += pairs
+        for j in np.flatnonzero(~(bijection & fixed & holds)).tolist():
+            u = int(chunk[j])
+            u_json = Relation.from_mask(r, u).to_json_dict()
+            for passed, prop in (
+                (bijection[j], "not a class bijection"),
+                (fixed[j], "last letter moved"),
+            ):
+                if not passed:
+                    report.violations.append({"u": u_json, "property": prop})
+            if holds[j]:
+                continue
+            for s, bad in _cube_failures(
+                pc, ac, image_idx[j], r, u, int(need[j]), int(free[j])
+            ):
                 report.violations.append(
                     {
-                        "u": u_rel.to_json_dict(),
+                        "u": u_json,
                         "s": Relation.from_mask(r, s).to_json_dict(),
                         "word": " ".join(map(str, letters_list[bad])),
                         "property": "statistic identity fails",
@@ -676,7 +801,7 @@ def verify_psi(r: int, max_len: int) -> Report:
     report.witnesses = {
         "kappa_extensible": len(extensible),
         "kappa_extension_pairs": pair_count,
-        "words": len(letters_list),
+        "words": nwords,
         "max_len": max_len,
     }
     return report

@@ -42,11 +42,15 @@ the rest up in its own memo; it never reads the psi memo, so a round trip
 checks two independent computations.  Each memo is emptied when the letters
 of its keys would pass MEMO_LETTERS.
 
-The gain is for prefix-closed traffic, where the one-letter-shorter
-subproblem was asked for earlier with the same relation: all words up to
-some length in length order, or ``verify_psi``'s weight-ordered word list,
-which reads the psi memo.  Other calls pay the lookups and the stores on
-top of the full chain.
+The gain is for prefix-closed per-word traffic, where the one-letter-shorter
+subproblem was asked for earlier with the same relation, such as all words
+up to some length in length order.  Other calls pay the lookups and the
+stores on top of the full chain.
+
+``psi_images`` serves the bulk case instead, every word up to a length under
+many relations, as it arises in ``mahonian.verify_psi``: it applies the same
+recursion to all words of one length and a chunk of relations at once, in
+numpy arrays, and neither reads nor fills the memos.
 """
 
 from __future__ import annotations
@@ -61,9 +65,11 @@ _new = object.__new__  # psi and psi_inverse build their Word as _trusted_word d
 
 CASE_PIVOTS_RELATED = "i"  # pivots lie in R_x
 CASE_PIVOTS_UNRELATED = "ii"  # pivots lie in L_x
-# letters of stored keys one memo may hold: enough for verify_psi's whole word
-# list at r = 3 up to max_len 10, the most its tables allow (841,449 letters)
+# letters of stored keys one memo may hold: enough for every word over [3] up
+# to length 10 (841,449 letters), prefix-closed per-word traffic well past the
+# psi bench's words up to length 7
 MEMO_LETTERS = 1 << 20
+IMAGE_CELL_BUDGET = 1 << 16  # letters per psi_images chunk; bounds its temporaries
 
 
 @lru_cache(maxsize=4)
@@ -251,6 +257,68 @@ def _psi_inverse_letters(u: Relation, ls: tuple[int, ...]) -> tuple[int, ...]:
     else:
         memo.store(ls, pre)
     return pre
+
+
+def psi_images(r: int, masks: Sequence[int], max_len: int):
+    """psi of every word of length <= max_len over [r], under the relations
+    with the given masks, for a chunk of consecutive masks at a time.
+
+    Yields ``(chunk, images)``: ``chunk`` is the slice of ``masks`` served and
+    ``images[n]`` an int8 array of shape (len(chunk), r**n, n) whose row c,
+    for relation j, holds the letters of psi of the word whose letters less
+    one are the base-r digits of c, most significant first.
+
+    All words of one length go at once through psi(w x) = gamma_x(psi(w)) x,
+    with psi(w) the row c // r of the length before.  The pivot class of each
+    letter comes from ``_pivot_classes``.  The factorization of psi(w) is a
+    run of groups, each a block followed by the pivot that closes it, and
+    gamma_x rotates every group right by one, so that its pivot comes first;
+    this is the stable sort of the row on (pivots strictly before, 0 for a
+    pivot or 1 for a block letter), done as one gather.  A row ends with a
+    pivot, so the rows are laid end to end and no group crosses two of them.
+    Chunks stay under IMAGE_CELL_BUDGET letters, which bounds the temporaries.
+    """
+    # imported here, not with the module: loading numpy ahead of mahonian
+    # raised the peak resident memory of every bench workload by about 1 MB
+    import numpy as np
+
+    per_relation = sum(n * r**n for n in range(max_len + 1))
+    step = max(1, IMAGE_CELL_BUDGET // max(1, per_relation))
+    appended = np.arange(r, dtype=np.int8)  # the appended letter less one, c % r
+    for lo in range(0, len(masks), step):
+        chunk = masks[lo : lo + step]
+        m = len(chunk)
+        cls = np.array(
+            [
+                [row[1:] for row in _pivot_classes(Relation.from_mask(r, mask))[1:]]
+                for mask in chunk
+            ],
+            dtype=np.int64,
+        ).reshape(m, r, r)
+        # related[j, x - 1] has bit y - 1 set iff y U x, for relation j
+        related = (cls << np.arange(r)).sum(axis=-1)
+        related = related.astype(np.min_scalar_type(-(1 << r)))
+        images = [np.zeros((m, 1, 0), dtype=np.int8)]
+        if max_len:
+            images.append(np.tile(appended[:, None] + 1, (m, 1, 1)))
+        for n in range(2, max_len + 1):
+            k = n - 1
+            prev = np.repeat(images[-1], r, axis=1)  # psi(w) in row c of w x
+            x = np.tile(appended, r**k)
+            cls_x = (related[:, x, None] >> (prev - 1)) & 1
+            pivot = (cls_x == cls_x[..., -1:]).ravel()
+            at = np.arange(pivot.size)
+            # where each slot of the rotated row reads from: the pivot that
+            # closes its group when the slot opens one, else the slot before.
+            # A slot opens a group when the slot before is a pivot; a row's
+            # first slot follows the last of another row, always a pivot.
+            closing = np.minimum.accumulate(np.where(pivot, at, pivot.size)[::-1])[::-1]
+            source = np.where(np.roll(pivot, 1), closing, at - 1)
+            img = np.empty((m, r**n, n), dtype=np.int8)
+            img[..., :-1] = prev.ravel()[source].reshape(m, r**n, k)
+            img[..., -1] = x + 1
+            images.append(img)
+        yield chunk, images
 
 
 def psi(u: Relation, w: Word) -> Word:

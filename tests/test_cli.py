@@ -320,6 +320,27 @@ def test_verify_size_cap(capsys):
     assert code == 1 and "capped" in err
 
 
+def test_verify_psi_runs_at_size_4_and_is_capped_there(capsys):
+    # psi walks 2**(r*r) relations, not pairs, so it shares the cap of 4
+    code, out, _ = run(capsys, "verify", "psi", "--size", "4", "--max-len", "4")
+    report = json.loads(out)
+    assert code == 0 and report["violations"] == []
+    assert report["witnesses"]["kappa_extension_pairs"] == 180715
+    code, out, err = run(capsys, "verify", "psi", "--size", "5", "--max-len", "1")
+    assert code == 1 and out == "" and "capped at 4" in err
+
+
+def test_verify_pair_sweep_at_size_1_refuses_a_large_weight_quickly(capsys):
+    # the tabled letters grow as W**2 at size 1, and nothing else binds there
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "verify", "theorem-majinv", "--size", "1", "--max-weight", "8000"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "budget" in err
+
+
 @pytest.mark.parametrize(
     "suite", sorted(s for s, (_, options) in VERIFY_SUITES.items() if "size" in options)
 )
@@ -379,8 +400,9 @@ def test_verify_pair_sweep_refuses_tables_beyond_the_memory_budget(capsys):
     assert code == 0 and json.loads(out)["witnesses"]["max_weight"] == 5
 
 
-# Reports of the seven suites at small sizes, elapsed_ms left out, as they
-# were before the verifiers shared their checks, stopwatch and class list.
+# Reports of the eight suites at small sizes, elapsed_ms left out, as they
+# were before the verifiers shared their checks, stopwatch and class list (psi:
+# before its cube check).
 GOLDEN_REPORTS = [
     (
         ["theorem-majinv", "--size", "2", "--max-weight", "3"],
@@ -505,6 +527,20 @@ GOLDEN_REPORTS = [
             "checked": 120,
             "violations": [],
             "witnesses": {"kappa_extensible": 12, "max_weight": 3},
+        },
+    ),
+    (
+        ["psi", "--size", "2", "--max-len", "4"],
+        0,
+        {
+            "checked": 55,
+            "violations": [],
+            "witnesses": {
+                "kappa_extensible": 12,
+                "kappa_extension_pairs": 43,
+                "words": 31,
+                "max_len": 4,
+            },
         },
     ),
     (
@@ -971,7 +1007,7 @@ def test_fuzzed_verify_argv(capsys, suite, size, weight, length):
     refused = not all(_is_integer(t) for t in tokens)
     if not refused:
         r = 3 if size is None else int(size)
-        cap = 4 if suite == "macmahon" else 3
+        cap = 4 if suite in ("macmahon", "psi") else 3
         refused = (suite != "applications" and not 1 <= r <= cap) or (
             suite in WEIGHT_SUITES and int(weight) < 2
         )

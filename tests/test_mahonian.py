@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from majinv.mahonian import (
     verify_psi,
     verify_theorem_majinv,
 )
+from majinv.transform import _psi_letters
 from majinv.words import compositions_of_weight
 
 
@@ -679,10 +681,207 @@ def test_distinctness_refuses_a_word_list_beyond_the_memory_budget():
 
 
 def test_psi_verifier_refuses_tables_beyond_the_memory_budget():
-    # 3**14 words of length 14 alone take two 19.6 GB tables over [3]
+    # over [3], the 3**14 words of length 14 alone pass both the work budget
+    # and, at 2.5 GB as tuples, images and cell rows, the byte budget
     for r, max_len in ((3, 14), (2, 10**9)):
         with pytest.raises(ValueError, match="budget"):
             verify_psi(r, max_len)
+
+
+def _oracle_verify_psi(r, max_len, psi_letters=_psi_letters):
+    """verify_psi as a loop over every (U, S): one scalar psi call per (U,
+    word), and both sides of the identity read from inv' and maj' tables
+    over all 2**(r*r) masks.  The oracle of the cube check."""
+    from majinv.mahonian import (
+        Report,
+        _class_words,
+        _extends,
+        _kappa_bounds_table,
+        _stat_tables,
+    )
+
+    letters_list, class_of = _class_words(
+        c for n in range(max_len + 1) for c in compositions_of_weight(r, n)
+    )
+    index = {ls: i for i, ls in enumerate(letters_list)}
+    class_arr = np.array(class_of)
+    last = np.array([ls[-1] if ls else 0 for ls in letters_list])
+    invtab, majtab = _stat_tables(r, letters_list)
+    full = (1 << (r * r)) - 1
+    bounds = _kappa_bounds_table(r)
+    extensible = np.flatnonzero(bounds[:, 0] & bounds[:, 1] == 0).tolist()
+    report = Report()
+    pair_count = 0
+    for u in extensible:
+        u_rel = Relation.from_mask(r, u)
+        image_idx = np.array([index[psi_letters(u_rel, ls)] for ls in letters_list])
+        report.checked += 1
+        if not (
+            np.array_equal(class_arr[image_idx], class_arr)
+            and np.unique(image_idx).size == len(letters_list)
+        ):
+            report.violations.append(
+                {"u": u_rel.to_json_dict(), "property": "not a class bijection"}
+            )
+        if not np.array_equal(last[image_idx], last):
+            report.violations.append(
+                {"u": u_rel.to_json_dict(), "property": "last letter moved"}
+            )
+        for s in np.flatnonzero(_extends(np.arange(full + 1), bounds[u])).tolist():
+            pair_count += 1
+            report.checked += 1
+            lhs = invtab[s][image_idx]
+            rhs = majtab[u] + invtab[s & ~u & full]
+            if not np.array_equal(lhs, rhs):
+                bad = int(np.nonzero(lhs != rhs)[0][0])
+                report.violations.append(
+                    {
+                        "u": u_rel.to_json_dict(),
+                        "s": Relation.from_mask(r, s).to_json_dict(),
+                        "word": " ".join(map(str, letters_list[bad])),
+                        "property": "statistic identity fails",
+                    }
+                )
+    report.witnesses = {
+        "kappa_extensible": len(extensible),
+        "kappa_extension_pairs": pair_count,
+        "words": len(letters_list),
+        "max_len": max_len,
+    }
+    return report
+
+
+def _same_reports(a, b):
+    """Whether two Reports have the same JSON text, elapsed_ms aside.  A
+    helper, so that a failure does not diff two long JSON strings."""
+    texts = []
+    for report in (a, b):
+        data = report.to_json_dict()
+        del data["elapsed_ms"]
+        texts.append(json.dumps(data))
+    return texts[0] == texts[1]
+
+
+def _walked_cubes(monkeypatch):
+    """The masks of the U whose cubes verify_psi walks, from now on."""
+    from majinv import mahonian
+
+    walked = []
+    walk = mahonian._cube_failures
+
+    def spy(pc, ac, image, r, u, need, free):
+        walked.append(u)
+        return walk(pc, ac, image, r, u, need, free)
+
+    monkeypatch.setattr(mahonian, "_cube_failures", spy)
+    return walked
+
+
+def test_psi_verifier_matches_the_per_extension_oracle(monkeypatch):
+    walked = _walked_cubes(monkeypatch)
+    for r in (1, 2, 3):
+        for max_len in range(7):
+            oracle = _oracle_verify_psi(r, max_len)
+            assert _same_reports(verify_psi(r, max_len), oracle), (r, max_len)
+    assert walked == []  # the cube check alone settles every U
+
+
+def test_psi_verifier_lists_a_wrong_psi_as_the_oracle_does(monkeypatch):
+    from majinv import mahonian
+    from majinv.transform import psi_images
+
+    natural = natural_order(3)
+    expected = _oracle_verify_psi(3, 5, lambda u, ls: _psi_letters(natural, ls))
+    assert len(expected.violations) == 1595
+
+    def natural_images(r, masks, max_len):
+        lo = 0
+        for chunk, images in psi_images(r, [natural.mask] * len(masks), max_len):
+            yield masks[lo : lo + len(chunk)], images
+            lo += len(chunk)
+
+    monkeypatch.setattr(mahonian, "psi_images", natural_images)
+    walked = _walked_cubes(monkeypatch)
+    assert _same_reports(verify_psi(3, 5), expected)
+    # exactly the U that fail are walked, each once
+    failing = {
+        Relation.from_json_dict(v["u"]).mask
+        for v in expected.violations
+        if v["property"] == "statistic identity fails"
+    }
+    assert walked == sorted(failing)
+    # a cube check that tests S = need alone misses the failures elsewhere
+    holds = mahonian._cube_holds
+    monkeypatch.setattr(
+        mahonian,
+        "_cube_holds",
+        lambda pc, ac, idx, u, need, free: holds(pc, ac, idx, u, need, 0 * free),
+    )
+    report = verify_psi(3, 5)
+    assert len(report.violations) == 1147
+    assert not _same_reports(report, expected)
+
+
+def test_psi_verifier_lists_moved_letters_and_lost_bijections_as_the_oracle_does(
+    monkeypatch,
+):
+    # both move the last letter, and sorting every word is no bijection
+    from majinv import mahonian
+    from majinv.transform import psi_images
+
+    mutants = {
+        "reversed": (
+            lambda u, ls: _psi_letters(u, ls)[::-1],
+            lambda images: [img[..., ::-1] for img in images],
+        ),
+        "sorted": (
+            lambda u, ls: tuple(sorted(ls)),
+            lambda images: [np.sort(img, axis=-1) for img in images],
+        ),
+    }
+    for name, (scalar, batched) in mutants.items():
+        expected = _oracle_verify_psi(3, 4, scalar)
+        properties = {v["property"] for v in expected.violations}
+        assert "last letter moved" in properties
+        assert ("not a class bijection" in properties) == (name == "sorted")
+        monkeypatch.setattr(
+            mahonian,
+            "psi_images",
+            lambda r, masks, max_len: (
+                (chunk, batched(images)) for chunk, images in psi_images(r, masks, max_len)
+            ),
+        )
+        assert _same_reports(verify_psi(3, 4), expected), name
+
+
+def test_psi_verifier_r4():
+    start = time.perf_counter()
+    report = verify_psi(4, 4)
+    assert time.perf_counter() - start < 10
+    assert report.ok
+    assert report.witnesses["kappa_extensible"] == 2112
+    assert report.witnesses["kappa_extension_pairs"] == 180_715
+    assert report.checked == 2112 + 180_715
+
+
+def test_sweep_letter_budget_refuses_before_any_level(monkeypatch):
+    # r = 3 is accepted up to weight 9 and r = 1 up to weight 1253; no level
+    # runs, since the levels are replaced by a stub
+    from majinv import mahonian
+
+    reached = []
+
+    def levels(r, max_weight, masks_of):
+        reached.append((r, max_weight))
+        return [np.zeros((1, 1), dtype=bool)], {}, {}
+
+    monkeypatch.setattr(mahonian, "_sweep_levels", levels)
+    masks_of = SWEEP_MASKS["theorem"]
+    for r, accepted in ((3, 9), (1, 1253)):
+        mahonian._staged_sweep(r, accepted, masks_of)
+        with pytest.raises(ValueError, match="budget"):
+            mahonian._staged_sweep(r, accepted + 1, masks_of)
+    assert reached == [(3, 9), (1, 1253)]
 
 
 def test_rawlings_pairs_land_in_classification():

@@ -469,3 +469,34 @@ def test_memo_letter_count_stays_within_budget(monkeypatch):
     _, _, psi_memo, _ = _memos(u)
     assert psi(u, Word(word[:9], 4)).letters == _oracle_psi(sides, word[:9])
     assert psi_memo.letters == 0 and psi_memo.results == {}
+
+
+def _batched_images_match_psi(r, masks, max_len):
+    """Whether psi_images gives psi of every word up to max_len, row c of
+    length n being the word with base-r digits c, for every mask."""
+    words = [list(words_of_length(r, n)) for n in range(max_len + 1)]
+    served = []
+    for chunk, images in transform.psi_images(r, masks, max_len):
+        served.extend(chunk)
+        assert [img.shape for img in images] == [
+            (len(chunk), r**n, n) for n in range(max_len + 1)
+        ]
+        for j, mask in enumerate(chunk):
+            u = Relation.from_mask(r, mask)
+            for n, img in enumerate(images):
+                expected = [psi(u, w).letters for w in words[n]]
+                if list(map(tuple, img[j].tolist())) != expected:
+                    return False
+    return list(served) == list(masks)
+
+
+def test_batched_psi_matches_psi_on_every_relation_r3():
+    for r in (1, 2, 3):
+        assert _batched_images_match_psi(r, range(1 << (r * r)), 6), r
+
+
+def test_batched_psi_matches_psi_on_sampled_relations_r4(monkeypatch):
+    # a small chunk budget, so that the sample spans several chunks
+    monkeypatch.setattr(transform, "IMAGE_CELL_BUDGET", 20_000)
+    masks = random.Random(4).sample(range(1 << 16), 64)
+    assert _batched_images_match_psi(4, masks, 5)
