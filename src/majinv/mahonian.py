@@ -12,15 +12,19 @@ every class that omits k is a class of that restriction.  So the sweep at
 size r first sweeps size r-1, and at weight n its candidates are the
 survivors of weight n-1 (at weight 2, every pair) whose r restrictions all
 survived weight n at size r-1; size 1 has no restriction.  The candidates
-are then scored only on the classes of weight n that use all r letters,
-through per-word contribution tables indexed by relation bitmasks: a pair
-survives when each class carries the same multiset of values as its target
-statistic.  Below weight r there is no such class, and heredity alone
+are then scored only on the classes of weight n that use all r letters: a
+pair survives when each class carries the same multiset of values as its
+target statistic.  Below weight r there is no such class, and heredity alone
 decides.  The seeding is exact, since the classes of weight n are those that
 use every letter and those that omit one, and the latter are exactly the
 classes of the restrictions.  Weights 0 and 1 hold for every pair, since a
-word of length <= 1 has no descent and no inversion.  The tables implement
-the same definitions as the statistics module and the test suite
+word of length <= 1 has no descent and no inversion.
+
+Every maj'/inv' value is read from cell rows.  With pc[w] and ac[w] the pair
+and adjacency cell rows of a word w (see _cell_rows), inv'_V(w) =
+pc[w] . bits(V) and maj'_U(w) = ac[w] . bits(U), so a chunk of candidates is
+scored by one matrix product of their bits with the words' rows.  The rows
+implement the same definitions as the statistics module and the test suite
 cross-checks the two routes; it also keeps the unseeded sweep, which scores
 every pair on every class, as the oracle of this one.
 
@@ -30,17 +34,16 @@ take their words from one class-grouped list.
 
 verify_psi checks the transformation theorem once per U, not once per (U, S).
 The kappa-extensions of U form a cube: S = need | F for every F within the
-free cells, those in neither need nor forbid.  With pc[w] and ac[w] the pair
-and adjacency cell rows of a word w, inv'_S(w) = pc[w] . bits(S) and
-maj'_U(w) = ac[w] . bits(U); and U lies in need, so in every S.  Hence
+free cells, those in neither need nor forbid, and U lies in need, so in
+every S.  By the cell rows above,
 
   inv'_S(psi w) - maj'_U(w) - inv'_{S minus U}(w) = D[w] . bits(S) + e[w],
 
 with D = pc[psi w] - pc[w] and e = (pc[w] - ac[w]) . bits(U).  That is linear
 in the bits of S, so it is 0 on the whole cube iff it is 0 at S = need and
 D[w] is 0 in every free cell.  Only a U that fails this has its cube walked,
-to list each failing S.  The test suite keeps the per-(U, S) loop over
-2**(r*r)-row tables as the oracle of this check.
+to list each failing S.  The test suite keeps the per-(U, S) loop, which
+checks every S on its own, as the oracle of this check.
 """
 
 from __future__ import annotations
@@ -97,14 +100,15 @@ PAIR_SWEEP_CAP = 3  # pair sweeps walk 4**(r*r) ordered pairs
 STAGE_CELL_BUDGET = 1 << 16  # word cells per sweep chunk; bounds the temporaries
 WORD_BYTES = 96  # a listed Word takes this plus 8 bytes per letter, by tracemalloc
 # letters of the words a pair sweep tables, over all its sizes and weights.  A
-# sweep's time grows with them: theorem-majinv took 0.33 s at r = 1, W = 1200
-# (720,599 letters) and 1.4 s at r = 3, W = 9 (234,660; each word there has
-# 512 mask rows), on 2 vCPUs.  r = 3, W = 10 (804,690) is refused.
+# sweep's time grows with them: theorem-majinv took 0.3 s at r = 1, W = 1253
+# (785,630 letters) and 0.7-0.9 s at r = 3, W = 9 (234,660; there each word
+# is scored for each candidate), on 2 vCPUs.  r = 3, W = 10 (804,690) is
+# refused.
 SWEEP_LETTER_BUDGET = 3 << 18
 # verify_psi's kappa-extensible relations x words x max_len.  At the edge, on
-# 2 vCPUs: r = 1, max_len 2895 took 3.7 s (the per-word cell rows dominate);
-# r = 2, max_len 15 0.9 s; r = 3, max_len 8 0.4 s; r = 4, max_len 5 1.7 s,
-# 1.2 s of it the kappa bounds of the 65,536 relations on [4].
+# 2 vCPUs: r = 1, max_len 2895 took 1.1 s (listing the words dominates);
+# r = 2, max_len 15 0.5-0.8 s; r = 3, max_len 8 0.3 s; r = 4, max_len 5
+# 1.6 s, 1.5 s of it the kappa bounds of the 65,536 relations on [4].
 PSI_WORK_BUDGET = 1 << 24
 
 
@@ -180,39 +184,26 @@ def verify_equidistribution(u: Relation, s: Relation, max_weight: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bitmask-table machinery shared by the pair sweeps
+# Cell rows and budgets shared by the sweeps and verify_psi
 
 
-def _pair_cells(r: int, letters: tuple[int, ...]) -> list[int]:
-    """Cell (x-1)*r + (y-1) counts the pairs i < j with letters (x, y)."""
-    cells = [0] * (r * r)
-    seen = [0] * r  # seen[x-1]: the x's before the current position
-    for y in letters:
-        col = y - 1
-        for x in range(r):
-            cells[x * r + col] += seen[x]
-        seen[col] += 1
-    return cells
+def _cell_rows(r: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair and adjacency cell rows of an (N, n) array of words over [r]:
+    in pair cell (x-1)*r + (y-1), the number of places i < j with letters
+    (x, y); in adjacency cell (x-1)*r + (y-1), the sum of the places i with
+    letters (x, y) at i and i + 1.  So inv'_V(w) = pc[w] . bits(V) and
+    maj'_U(w) = ac[w] . bits(U)."""
+    nwords, n = words.shape
+    one = (words[:, :, None] == np.arange(1, r + 1)).astype(np.int64)
+    seen = np.cumsum(one, axis=1) - one  # seen[w, j, x]: the x's before place j
+    pc = seen.transpose(0, 2, 1) @ one
+    ac = (one[:, :-1] * np.arange(1, n)[:, None]).transpose(0, 2, 1) @ one[:, 1:]
+    return pc.reshape(nwords, r * r), ac.reshape(nwords, r * r)
 
 
-def _adj_cells(r: int, letters: tuple[int, ...]) -> list[int]:
-    """Cell (x-1)*r + (y-1) sums the positions i with adjacent letters (x, y)."""
-    cells = [0] * (r * r)
-    for i in range(len(letters) - 1):
-        cells[(letters[i] - 1) * r + letters[i + 1] - 1] += i + 1
-    return cells
-
-
-def _mask_table(cells: np.ndarray) -> np.ndarray:
-    """Row ``mask`` holds, per word, the cell sum over the bits of mask."""
-    nwords, r2 = cells.shape
-    nmasks = 1 << r2
-    cols = np.ascontiguousarray(cells.T)
-    tab = np.zeros((nmasks, nwords), dtype=np.int64)
-    for mask in range(1, nmasks):
-        low = mask & -mask
-        tab[mask] = tab[mask ^ low] + cols[low.bit_length() - 1]
-    return tab
+def _bits(masks, r: int) -> np.ndarray:
+    """Row i holds the r*r bits of masks[i], as 0/1 in one column per cell."""
+    return (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(r * r)) & 1
 
 
 def _check_budget(costs, budget: int, unit: str, what: str) -> None:
@@ -250,16 +241,6 @@ def _full_support_words(r: int, n: int) -> int:
     return sum((-1) ** j * math.comb(r, j) * (r - j) ** n for j in range(r + 1))
 
 
-def _stat_tables(r: int, letters_list: list[tuple[int, ...]]):
-    """The inv' and maj' mask tables of the words: row ``mask`` holds
-    inv'_mask (resp. maj'_mask) of every word.  Each cell array is dropped
-    once its table is built."""
-    return tuple(
-        _mask_table(np.array([cells(r, ls) for ls in letters_list], dtype=np.int64))
-        for cells in (_pair_cells, _adj_cells)
-    )
-
-
 def _class_words(classes) -> tuple[list[tuple[int, ...]], list[int]]:
     """The letters of every word of the ``classes``, grouped by class, with
     the class index of each word.  With classes in ascending weight, every
@@ -274,8 +255,8 @@ def _class_words(classes) -> tuple[list[tuple[int, ...]], list[int]]:
 
 
 def _weight_tables(r: int, n: int):
-    """Class keys and bitmask statistic tables of the words of weight n over
-    [r] that use every letter.
+    """Class keys and pair and adjacency cell rows of the words of weight n
+    over [r] that use every letter.
 
     Words are grouped by class; ``keybase`` holds class_index * stride with a
     stride above every maj + inv value of a weight-n word.
@@ -285,7 +266,8 @@ def _weight_tables(r: int, n: int):
     )
     stride = 1 << (n * (n - 1)).bit_length()
     keybase = np.array(class_of, dtype=np.int64) * stride
-    return (keybase, *_stat_tables(r, letters_list))
+    words = np.array(letters_list, dtype=np.int64).reshape(len(letters_list), n)
+    return (keybase, *_cell_rows(r, words))
 
 
 @functools.lru_cache(maxsize=PAIR_SWEEP_CAP)
@@ -307,17 +289,28 @@ def _restriction_table(r: int) -> np.ndarray:
 def _score(r: int, n: int, alive: np.ndarray, masks_of) -> np.ndarray:
     """The flat pair indices of ``alive`` whose statistic carries the same
     multiset of values as its target on every class of weight n over [r]
-    that uses all r letters."""
-    keybase, invtab, majtab = _weight_tables(r, n)
-    want = np.sort(invtab + keybase, axis=1)
+    that uses all r letters.  The values are cell rows times relation bits;
+    each distinct target is sorted once."""
+    keybase, pc, ac = _weight_tables(r, n)
+    # float64 sums are exact for these small integers and run on BLAS; row
+    # a * r*r + b of cells holds the adjacency (a = 0) or pair (a = 1) cell b
+    cells = np.concatenate([ac, pc], axis=1).T.astype(np.float64)
+    keys = keybase.astype(np.float64)
     bits = r * r
+    maj, inv, target = masks_of(r, alive >> bits, alive & ((1 << bits) - 1))
+    targets, target_of = np.unique(
+        np.broadcast_to(target, alive.shape), return_inverse=True
+    )
+    want = _bits(targets, r) @ cells[bits:]
+    want += keys
+    want.sort(axis=1)
     step = max(1, STAGE_CELL_BUDGET // keybase.size)
     kept = [np.empty(0, dtype=np.int64)]
     for lo in range(0, alive.size, step):
-        idx = alive[lo : lo + step]
-        maj, inv, target = masks_of(r, idx >> bits, idx & ((1 << bits) - 1))
-        got = np.sort(majtab[maj] + invtab[inv] + keybase, axis=1)
-        kept.append(idx[(got == want[target]).all(axis=1)])
+        part = slice(lo, lo + step)
+        got = np.hstack([_bits(maj[part], r), _bits(inv[part], r)]) @ cells + keys
+        got.sort(axis=1)
+        kept.append(alive[part][(got == want[target_of[part]]).all(axis=1)])
     return np.concatenate(kept)
 
 
@@ -360,11 +353,6 @@ def _staged_sweep(r: int, max_weight: int, masks_of):
     the survivor count and the number of pairs scored on the classes that use
     all r letters.
     """
-    # the inv', maj' and sorted target tables of one level's weight are held
-    # at once; each level tables the most words at the last weight
-    for k in range(1, r + 1):
-        words = (_full_support_words(k, max_weight),)
-        _check_word_bytes(words, 3 * 8 << (k * k), "build 3 bitmask tables")
     tabled = (
         n * _full_support_words(k, n)
         for k in range(1, r + 1)
@@ -417,6 +405,13 @@ def _check_max_weight(max_weight: int) -> None:
         raise ValueError(
             f"max weight must be >= 2, got {max_weight}: a certificate up to "
             "weight 1 is vacuous, since every statistic passes it"
+        )
+
+
+def _check_max_len(max_len: int) -> None:
+    if max_len < 0:
+        raise ValueError(
+            f"max length must be >= 0, got {max_len}: no word has a negative length"
         )
 
 
@@ -492,6 +487,7 @@ def verify_distinctness(r: int, max_len: int) -> Report:
     """Separate every pair of classified mahonian statistics by a word of
     length <= max_len; unseparated pairs are reported as violations."""
     _check_size(r, PAIR_SWEEP_CAP)
+    _check_max_len(max_len)
     lengths = range(1, max_len + 1)
     word_bytes = WORD_BYTES + 8 * max_len
     _check_word_bytes(_words_of_lengths(r, lengths), word_bytes, "list the words")
@@ -647,11 +643,6 @@ def verify_macmahon(r: int, max_weight: int) -> Report:
     return report
 
 
-def _bits(masks, r: int) -> np.ndarray:
-    """Row i holds the r*r bits of masks[i], as 0/1 in one column per cell."""
-    return (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(r * r)) & 1
-
-
 def _psi_words(r: int, max_len: int):
     """The words up to max_len as _class_words lists them, with their class
     indices, last letters (0 for the empty word) and pair and adjacency cell
@@ -662,15 +653,17 @@ def _psi_words(r: int, max_len: int):
         c for n in lengths for c in compositions_of_weight(r, n)
     )
     last = np.array([ls[-1] if ls else 0 for ls in letters_list], dtype=np.int64)
+    # the list runs by weight, so the words of length n are a slice of it
+    cells, code_of, start = [], [], 0
+    for n in lengths:
+        words = np.array(letters_list[start : start + r**n], dtype=np.int64)
+        words = words.reshape(r**n, n)
+        cells.append(_cell_rows(r, words))
+        code_of.append(_places(words, r, start))
+        start += r**n
     # a cell count, and a difference of two, lies within max_len**2 of 0
     cell_type = np.min_scalar_type(-max_len * max_len - 1)
-    pc = np.array([_pair_cells(r, ls) for ls in letters_list], dtype=cell_type)
-    ac = np.array([_adj_cells(r, ls) for ls in letters_list], dtype=cell_type)
-    # the list runs by weight, so the words of length n are a slice of it
-    code_of, start = [], 0
-    for n in lengths:
-        code_of.append(_places(np.array(letters_list[start : start + r**n]), r, start))
-        start += r**n
+    pc, ac = (np.concatenate(rows).astype(cell_type) for rows in zip(*cells))
     return letters_list, np.array(class_of), last, pc, ac, np.concatenate(code_of)
 
 
@@ -736,6 +729,7 @@ def verify_psi(r: int, max_len: int) -> Report:
     first failing word.
     """
     _check_size(r, RELATION_ENUM_CAP)
+    _check_max_len(max_len)
     lengths = range(max_len + 1)
     bounds = _kappa_bounds_table(r)
     extensible = np.flatnonzero(bounds[:, 0] & bounds[:, 1] == 0)
@@ -747,10 +741,11 @@ def verify_psi(r: int, max_len: int) -> Report:
         "check psi",
     )
     # per word: its letter tuple and, for one relation, its image letters and
-    # their gather indices; its pc and ac rows; its place, class and last letter
+    # their gather indices; its pc and ac rows, and its letters one-hot while
+    # they form; its place, class and last letter
     _check_word_bytes(
         _words_of_lengths(r, lengths),
-        WORD_BYTES + 17 * max_len + 2 * 8 * r * r + 48,
+        WORD_BYTES + 17 * max_len + 2 * 8 * r * r + 32 * r * max_len + 48,
         "tabulate psi",
     )
     letters_list, class_arr, last, pc, ac, code_of = _psi_words(r, max_len)

@@ -315,6 +315,22 @@ def test_verify_pair_sweeps_refuse_vacuous_weights(capsys):
             assert err.startswith("error:") and "vacuous" in err, (suite, weight)
 
 
+def test_verify_refuses_a_negative_max_len(capsys):
+    # length 0 is accepted: it lists the empty word alone
+    for suite in ("psi", "distinctness"):
+        for length in ("-1", "-3"):
+            code, out, err = run(
+                capsys, "verify", suite, "--size", "2", "--max-len", length
+            )
+            assert code == 1 and out == "", (suite, length)
+            assert err.startswith("error:") and "max length" in err, (suite, length)
+    code, out, _ = run(capsys, "verify", "psi", "--size", "2", "--max-len", "0")
+    assert code == 0 and json.loads(out)["witnesses"]["words"] == 1
+    # with no word of length >= 1, no pair of statistics is separated
+    code, out, _ = run(capsys, "verify", "distinctness", "--size", "2", "--max-len", "0")
+    assert code == 2 and len(json.loads(out)["violations"]) == 6
+
+
 def test_verify_size_cap(capsys):
     code, _, err = run(capsys, "verify", "theorem-majinv", "--size", "4")
     assert code == 1 and "capped" in err
@@ -386,8 +402,8 @@ def test_verify_distinctness_refuses_word_lists_beyond_the_memory_budget(capsys)
 
 
 def test_verify_pair_sweep_refuses_tables_beyond_the_memory_budget(capsys):
-    # weight 12 over [3] needs three 2.2 GB tables; it is refused before any
-    # stage runs, while weight 5 still certifies
+    # weight 12 over [3] passes the sweep letter budget; it is refused before
+    # any stage runs, while weight 5 still certifies
     for weight in ("12", str(10**9)):
         code, out, err = run(
             capsys, "verify", "theorem-majinv", "--size", "3", "--max-weight", weight
@@ -982,6 +998,7 @@ def test_fuzzed_eval_argv(capsys, size, spec, tokens):
 WEIGHT_SUITES = {
     "macmahon", "theorem-majinv", "classification", "product-formula", "applications"
 }
+LENGTH_SUITES = {"distinctness", "psi"}
 
 
 @settings(
@@ -995,7 +1012,7 @@ WEIGHT_SUITES = {
     # front: no example runs a large sweep
     size=st.one_of(st.none(), _mostly(st.sampled_from(["-1", "0", "1", "2", "3", "5", "10" * 6]))),
     weight=_mostly(st.sampled_from(["-1", "0", "1", "2", "3"])),
-    length=st.one_of(st.none(), _mostly(st.sampled_from(["2", "3"]))),
+    length=st.one_of(st.none(), _mostly(st.sampled_from(["-1", "0", "2", "3"]))),
 )
 def test_fuzzed_verify_argv(capsys, suite, size, weight, length):
     argv = ["verify", suite, "--max-weight", weight]
@@ -1008,8 +1025,10 @@ def test_fuzzed_verify_argv(capsys, suite, size, weight, length):
     if not refused:
         r = 3 if size is None else int(size)
         cap = 4 if suite in ("macmahon", "psi") else 3
-        refused = (suite != "applications" and not 1 <= r <= cap) or (
-            suite in WEIGHT_SUITES and int(weight) < 2
+        refused = (
+            (suite != "applications" and not 1 <= r <= cap)
+            or (suite in WEIGHT_SUITES and int(weight) < 2)
+            or (suite in LENGTH_SUITES and length is not None and int(length) < 0)
         )
     if refused:
         assert code == 1 and "error:" in err and out == "", err

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import time
@@ -188,12 +189,28 @@ def test_survivors_by_weight_r3():
     assert classification.witnesses["scored_by_weight"] == {2: 0, 3: 64, 4: 42, 5: 42}
 
 
+def _all_mask_tables(r, letters_list):
+    """The inv' and maj' tables of the words over every one of the 2**(r*r)
+    masks, row ``mask`` holding inv'_mask (resp. maj'_mask) of every word:
+    the words' cell rows times the bits of every mask, a length at a time."""
+    from majinv.mahonian import _bits, _cell_rows
+
+    rows = ([], [])
+    for n, group in itertools.groupby(letters_list, len):
+        words = list(group)
+        cells = _cell_rows(r, np.array(words, dtype=np.int64).reshape(len(words), n))
+        for acc, part in zip(rows, cells):
+            acc.append(part)
+    masks = _bits(np.arange(1 << (r * r)), r)
+    return tuple(masks @ np.concatenate(acc).T for acc in rows)
+
+
 # The pair sweep as it was before heredity seeding: every pair on [r] scored
 # on every class of each weight.  Kept as the oracle of the seeded sweep.
 def _unseeded_sweep(r, max_weight, masks_of):
     """Pass arrays over flat pair indices after each weight 2..max_weight,
     and the survivor count per weight."""
-    from majinv.mahonian import STAGE_CELL_BUDGET, _class_words, _stat_tables
+    from majinv.mahonian import STAGE_CELL_BUDGET, _class_words
 
     bits = r * r
     npairs = 1 << (2 * bits)
@@ -203,7 +220,7 @@ def _unseeded_sweep(r, max_weight, masks_of):
         letters_list, class_of = _class_words(compositions_of_weight(r, n))
         stride = 1 << (n * (n - 1)).bit_length()
         keybase = np.array(class_of, dtype=np.int64) * stride
-        invtab, majtab = _stat_tables(r, letters_list)
+        invtab, majtab = _all_mask_tables(r, letters_list)
         want = np.sort(invtab + keybase, axis=1)
         count = npairs if alive is None else alive.size
         step = max(1, STAGE_CELL_BUDGET // keybase.size)
@@ -332,20 +349,12 @@ def test_oracle_catches_a_broken_seeding(unseeded, monkeypatch, mutant):
 
 
 def test_sweep_budget_counts_the_words_that_use_every_letter():
-    import itertools
-
     from majinv.mahonian import _full_support_words
-    from majinv.qseries import BYTE_BUDGET
 
     for r in (1, 2, 3):
         for n in range(7):
             words = itertools.product(range(r), repeat=n)
             assert _full_support_words(r, n) == sum(len(set(w)) == r for w in words)
-    # a level over [3] holds three int64 tables of 2**9 rows: weight 10 fits
-    # the budget and weight 11 does not, as when every word was tabled
-    per_word = 3 * 8 << 9
-    assert _full_support_words(3, 10) * per_word <= BYTE_BUDGET
-    assert _full_support_words(3, 11) * per_word > BYTE_BUDGET
     with pytest.raises(ValueError, match="budget"):
         verify_classification(3, 11)
 
@@ -692,13 +701,7 @@ def _oracle_verify_psi(r, max_len, psi_letters=_psi_letters):
     """verify_psi as a loop over every (U, S): one scalar psi call per (U,
     word), and both sides of the identity read from inv' and maj' tables
     over all 2**(r*r) masks.  The oracle of the cube check."""
-    from majinv.mahonian import (
-        Report,
-        _class_words,
-        _extends,
-        _kappa_bounds_table,
-        _stat_tables,
-    )
+    from majinv.mahonian import Report, _class_words, _extends, _kappa_bounds_table
 
     letters_list, class_of = _class_words(
         c for n in range(max_len + 1) for c in compositions_of_weight(r, n)
@@ -706,7 +709,7 @@ def _oracle_verify_psi(r, max_len, psi_letters=_psi_letters):
     index = {ls: i for i, ls in enumerate(letters_list)}
     class_arr = np.array(class_of)
     last = np.array([ls[-1] if ls else 0 for ls in letters_list])
-    invtab, majtab = _stat_tables(r, letters_list)
+    invtab, majtab = _all_mask_tables(r, letters_list)
     full = (1 << (r * r)) - 1
     bounds = _kappa_bounds_table(r)
     extensible = np.flatnonzero(bounds[:, 0] & bounds[:, 1] == 0).tolist()
@@ -917,19 +920,40 @@ def test_report_json_schema():
     assert data["violations"] == []
 
 
-def test_sweep_tables_match_statistic_definitions():
-    import numpy as np
+def test_cell_rows_times_bits_match_statistic_definitions():
+    from majinv import Word, graphical_inv, graphical_maj, words_of_length
+    from majinv.mahonian import _bits, _cell_rows
 
-    from majinv import graphical_inv, graphical_maj, words_of_length
-    from majinv.mahonian import _adj_cells, _mask_table, _pair_cells
+    def check(r, words, masks):
+        n = len(words[0])
+        letters = np.array([w.letters for w in words], dtype=np.int64)
+        pc, ac = _cell_rows(r, letters.reshape(len(words), n))
+        bits = _bits(masks, r)
+        inv, maj = bits @ pc.T, bits @ ac.T
+        for i, mask in enumerate(masks):
+            rel = Relation.from_mask(r, mask)
+            assert inv[i].tolist() == [graphical_inv(rel, w) for w in words], mask
+            assert maj[i].tolist() == [graphical_maj(rel, w) for w in words], mask
 
-    words = [w for n in range(5) for w in words_of_length(3, n)]
-    invtab = _mask_table(np.array([_pair_cells(3, w.letters) for w in words]))
-    majtab = _mask_table(np.array([_adj_cells(3, w.letters) for w in words]))
     rng = random.Random(3)
-    for _ in range(300):
-        mask = rng.randrange(512)
-        wi = rng.randrange(len(words))
-        rel = Relation.from_mask(3, mask)
-        assert invtab[mask][wi] == graphical_inv(rel, words[wi])
-        assert majtab[mask][wi] == graphical_maj(rel, words[wi])
+    masks = [1 << b for b in range(9)] + [rng.randrange(512) for _ in range(200)]
+    for n in range(6):
+        check(3, list(words_of_length(3, n)), masks)
+    # long words, whose cell counts run into the hundreds of thousands
+    for r in (1, 2):
+        word = Word(tuple(rng.randrange(1, r + 1) for _ in range(1200)), r)
+        check(r, [word], [1 << b for b in range(r * r)] + [(1 << (r * r)) - 1])
+
+
+def test_theorem_sweep_peak_memory():
+    # the sweep holds r*r cells per word; a table of every word's values under
+    # all 2**9 masks would take the traced peak to about 30 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert verify_theorem_majinv(3, 7).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 << 20
