@@ -29,8 +29,9 @@ cross-checks the two routes; it also keeps the unseeded sweep, which scores
 every pair on every class, as the oracle of this one.
 
 The sweeps, the closure suite and verify_psi test kappa-extension on masks,
-against one cached array of relations.kappa_bounds per alphabet size, and
-take their words from one class-grouped list.
+against one cached array of relations.kappa_bounds per alphabet size, formed
+bitwise over all masks at once, and take their words from one class-grouped
+list.
 
 verify_psi checks the transformation theorem once per U, not once per (U, S).
 The kappa-extensions of U form a cube: S = need | F for every F within the
@@ -65,9 +66,7 @@ from .relations import (
     empty_relation,
     is_bipartitional,
     is_kappa_extensible,
-    is_kappa_extension,
     is_total_order,
-    kappa_bounds,
     kappa_closure,
     extract_bipartition,
     divides,
@@ -88,10 +87,10 @@ from .statistics import (
 from .transform import psi_images
 from .words import (
     Composition,
+    class_letters,
     class_size,
     compositions_of_weight,
     compositions_up_to,
-    enumerate_class,
     words_of_length,
 )
 
@@ -106,9 +105,9 @@ WORD_BYTES = 96  # a listed Word takes this plus 8 bytes per letter, by tracemal
 # refused.
 SWEEP_LETTER_BUDGET = 3 << 18
 # verify_psi's kappa-extensible relations x words x max_len.  At the edge, on
-# 2 vCPUs: r = 1, max_len 2895 took 1.1 s (listing the words dominates);
-# r = 2, max_len 15 0.5-0.8 s; r = 3, max_len 8 0.3 s; r = 4, max_len 5
-# 1.6 s, 1.5 s of it the kappa bounds of the 65,536 relations on [4].
+# 2 vCPUs in one run: r = 1, max_len 2895 took 1.1-1.3 s (psi_images and
+# the per-length arrays dominate); r = 2, max_len 15 0.6 s; r = 3, max_len 8
+# 0.5 s; r = 4, max_len 5 0.8 s.
 PSI_WORK_BUDGET = 1 << 24
 
 
@@ -248,9 +247,9 @@ def _class_words(classes) -> tuple[list[tuple[int, ...]], list[int]]:
     letters_list: list[tuple[int, ...]] = []
     class_of: list[int] = []
     for ci, c in enumerate(classes):
-        for w in enumerate_class(c):
-            letters_list.append(w.letters)
-            class_of.append(ci)
+        start = len(letters_list)
+        letters_list.extend(class_letters(c))
+        class_of.extend(itertools.repeat(ci, len(letters_list) - start))
     return letters_list, class_of
 
 
@@ -289,28 +288,39 @@ def _restriction_table(r: int) -> np.ndarray:
 def _score(r: int, n: int, alive: np.ndarray, masks_of) -> np.ndarray:
     """The flat pair indices of ``alive`` whose statistic carries the same
     multiset of values as its target on every class of weight n over [r]
-    that uses all r letters.  The values are cell rows times relation bits;
-    each distinct target is sorted once."""
+    that uses all r letters.  The values are cell rows times relation bits.
+    The candidates are scored a group of targets at a time, each distinct
+    target sorted once, so that no temporary passes STAGE_CELL_BUDGET cells
+    by more than one row of words."""
     keybase, pc, ac = _weight_tables(r, n)
     # float64 sums are exact for these small integers and run on BLAS; row
     # a * r*r + b of cells holds the adjacency (a = 0) or pair (a = 1) cell b
     cells = np.concatenate([ac, pc], axis=1).T.astype(np.float64)
     keys = keybase.astype(np.float64)
     bits = r * r
-    maj, inv, target = masks_of(r, alive >> bits, alive & ((1 << bits) - 1))
-    targets, target_of = np.unique(
-        np.broadcast_to(target, alive.shape), return_inverse=True
+    maj, inv, target = np.broadcast_arrays(
+        *masks_of(r, alive >> bits, alive & ((1 << bits) - 1))
     )
-    want = _bits(targets, r) @ cells[bits:]
-    want += keys
-    want.sort(axis=1)
+    order = np.argsort(target, kind="stable")
+    targets, start, target_of = np.unique(
+        target[order], return_index=True, return_inverse=True
+    )
+    start = np.append(start, alive.size)
     step = max(1, STAGE_CELL_BUDGET // keybase.size)
     kept = [np.empty(0, dtype=np.int64)]
-    for lo in range(0, alive.size, step):
-        part = slice(lo, lo + step)
-        got = np.hstack([_bits(maj[part], r), _bits(inv[part], r)]) @ cells + keys
-        got.sort(axis=1)
-        kept.append(alive[part][(got == want[target_of[part]]).all(axis=1)])
+    for first in range(0, targets.size, step):
+        last = min(first + step, targets.size)
+        want = _bits(targets[first:last], r) @ cells[bits:]
+        want += keys
+        want.sort(axis=1)
+        for lo in range(start[first], start[last], step):
+            hi = min(lo + step, start[last])
+            part = order[lo:hi]
+            got = np.hstack([_bits(maj[part], r), _bits(inv[part], r)]) @ cells
+            got += keys
+            got.sort(axis=1)
+            match = got == want[target_of[lo:hi] - first]
+            kept.append(alive[part][match.all(axis=1)])
     return np.concatenate(kept)
 
 
@@ -366,12 +376,18 @@ def _staged_sweep(r: int, max_weight: int, masks_of):
 @functools.lru_cache(maxsize=RELATION_ENUM_CAP)
 def _kappa_bounds_table(r: int) -> np.ndarray:
     """Row u holds kappa_bounds of the relation with mask u, as the columns
-    (need, forbid).  Cached and read-only, since every caller shares the one
-    array."""
-    table = np.array(
-        [kappa_bounds(Relation.from_mask(r, u)) for u in range(1 << (r * r))],
-        dtype=np.int64,
-    )
+    (need, forbid), formed bitwise over every mask at once: (x, z) is forced
+    when row x of U has a bit that row z lacks, need is U with the forced
+    pairs and forbid the forced pairs reversed.  Cached and read-only, since
+    every caller shares the one array."""
+    masks = np.arange(1 << (r * r), dtype=np.int64)
+    rows = [(masks >> (x * r)) & ((1 << r) - 1) for x in range(r)]
+    need, forbid = masks.copy(), np.zeros_like(masks)
+    for x, z in itertools.permutations(range(r), 2):
+        forced = (rows[x] & ~rows[z] != 0).astype(np.int64)
+        need |= forced << (x * r + z)
+        forbid |= forced << (z * r + x)
+    table = np.stack([need, forbid], axis=1)
     table.flags.writeable = False
     return table
 
@@ -381,6 +397,17 @@ def _extends(s, bounds) -> np.ndarray:
     ``bounds`` of _kappa_bounds_table, broadcast against each other."""
     need, forbid = bounds[..., 0], bounds[..., 1]
     return (s & need == need) & (s & forbid == 0)
+
+
+def _cube(need: int, free: int) -> list[int]:
+    """The masks need | F for every F within ``free``, ascending; need and
+    free are disjoint, so that is the order of F."""
+    cube = [need]
+    sub = (0 - free) & free  # the subsets of free, counting up
+    while sub:
+        cube.append(need | sub)
+        sub = (sub - free) & free
+    return cube
 
 
 def _pair_violations(r: int, got: np.ndarray, expected: np.ndarray, keys) -> list:
@@ -525,46 +552,59 @@ def verify_kappa_machinery(r: int) -> Report:
     - for extensible U the closure is bipartitional and contained in every
       extension.
 
+    The extensions are read from _kappa_bounds_table: U's cube, need | F for
+    F within its free cells, is non-empty iff need and forbid are disjoint,
+    and the closure lies in every extension iff it lies in need, the cube's
+    least element.  The predicates of the relations module are computed per
+    relation, so each check compares them with the table.
+
     The chain {(1,2),(2,3)} and the divisibility relation on [9] are also
     checked to be rejected.
     """
-    _check_size(r, PAIR_SWEEP_CAP)
+    _check_size(r, RELATION_ENUM_CAP)
     rels = list(enumerate_relations(r))
-    masks = np.arange(len(rels))
     bounds = _kappa_bounds_table(r)
+    need, forbid = bounds[:, 0], bounds[:, 1]
+    bip = np.array([is_bipartitional(u) for u in rels])
+    mismatch = bip != _extends(np.arange(len(rels)), bounds)
+    by_quadruple = np.array([is_kappa_extensible(u) for u in rels])
+    non_empty = need & forbid == 0
+    # the closure is computed for the U the quadruple test calls extensible;
+    # for the others it can only extend U when the cube is non-empty, which
+    # already disagrees with the quadruple test
+    extensible = np.flatnonzero(by_quadruple)
+    closures = [kappa_closure(rels[u]) for u in extensible.tolist()]
+    closure = np.zeros(len(rels), dtype=np.int64)
+    closure[extensible] = [c.mask for c in closures]
+    not_bip = np.zeros(len(rels), dtype=bool)
+    not_bip[extensible] = [not is_bipartitional(c) for c in closures]
+    by_closure = by_quadruple & _extends(closure, bounds)
+    disagree = (by_quadruple != by_closure) | (by_closure != non_empty)
+    not_minimal = by_quadruple & non_empty & (closure & ~need != 0)
+
     report = Report(checked=len(rels))
-    extensible_count = 0
-    bipartitional_count = 0
-    for u in rels:
-        bip = is_bipartitional(u)
-        bipartitional_count += bip
-        if bip != is_kappa_extension(u, u):
-            report.violations.append(
-                {"u": u.to_json_dict(), "property": "self-extension mismatch"}
-            )
-        closure = kappa_closure(u)
-        ext_quadruple = is_kappa_extensible(u)
-        ext_closure = is_kappa_extension(closure, u)
-        extensions = [rels[s] for s in np.flatnonzero(_extends(masks, bounds[u.mask]))]
-        if not (ext_quadruple == ext_closure == bool(extensions)):
-            report.violations.append(
-                {"u": u.to_json_dict(), "property": "extensibility criteria disagree"}
-            )
-        if ext_quadruple:
-            extensible_count += 1
-            if not is_bipartitional(closure):
+    full = (1 << (r * r)) - 1
+    for u in np.flatnonzero(mismatch | disagree | not_bip | not_minimal).tolist():
+        u_json = rels[u].to_json_dict()
+        for flagged, prop in (
+            (mismatch, "self-extension mismatch"),
+            (disagree, "extensibility criteria disagree"),
+            (not_bip, "closure not bipartitional"),
+        ):
+            if flagged[u]:
+                report.violations.append({"u": u_json, "property": prop})
+        if not not_minimal[u]:
+            continue
+        free = full & ~int(need[u] | forbid[u])
+        for s in _cube(int(need[u]), free):
+            if int(closure[u]) & ~s:
                 report.violations.append(
-                    {"u": u.to_json_dict(), "property": "closure not bipartitional"}
+                    {
+                        "u": u_json,
+                        "s": rels[s].to_json_dict(),
+                        "property": "closure not minimal",
+                    }
                 )
-            for s in extensions:
-                if not closure.issubset(s):
-                    report.violations.append(
-                        {
-                            "u": u.to_json_dict(),
-                            "s": s.to_json_dict(),
-                            "property": "closure not minimal",
-                        }
-                    )
     for name, rel in (
         ("chain", Relation.from_pairs(3, [(1, 2), (2, 3)])),
         ("divides-9", divides(9)),
@@ -575,8 +615,8 @@ def verify_kappa_machinery(r: int) -> Report:
                 {"u": rel.to_json_dict(), "property": f"{name} wrongly extensible"}
             )
     report.witnesses = {
-        "kappa_extensible": extensible_count,
-        "bipartitional": bipartitional_count,
+        "kappa_extensible": len(extensible),
+        "bipartitional": int(bip.sum()),
     }
     return report
 
@@ -705,11 +745,7 @@ def _cube_holds(pc, ac, image_idx, u, need, free) -> np.ndarray:
 def _cube_failures(pc, ac, image, r: int, u: int, need: int, free: int):
     """(S, first failing word) for each S of U's cube on which the identity
     fails, S ascending; ``image[i]`` is the word psi sends word i to."""
-    cube = [need]
-    sub = (0 - free) & free  # the subsets of free, counting up
-    while sub:
-        cube.append(need | sub)
-        sub = (sub - free) & free
+    cube = _cube(need, free)
     diff = pc[image].astype(np.int64) - pc
     e = (pc - ac).astype(np.int64) @ _bits([u], r)[0]
     bad = diff @ _bits(cube, r).T + e[:, None] != 0

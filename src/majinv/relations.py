@@ -71,10 +71,13 @@ class Relation:
     @classmethod
     def from_mask(cls, r: int, mask: int) -> "Relation":
         """Relation from an r*r-bit mask; bit (x-1)*r + (y-1) is the pair (x,y)."""
+        if r < 1:
+            raise ValueError(f"alphabet size must be >= 1, got {r}")
         if not 0 <= mask < 1 << (r * r):
             raise ValueError("mask out of range")
+        # rows cut from an in-range mask need no row check
         full = (1 << r) - 1
-        return cls(r, tuple((mask >> (x * r)) & full for x in range(r)))
+        return _trusted_relation(r, tuple((mask >> (x * r)) & full for x in range(r)))
 
     @property
     def mask(self) -> int:

@@ -139,27 +139,39 @@ def class_size(c: Composition) -> int:
     return math.factorial(n) // denom
 
 
-def enumerate_class(c: Composition) -> Iterator[Word]:
-    """Yield every word of the rearrangement class in increasing lex order.
+def class_letters(c: Composition) -> Iterator[tuple[int, ...]]:
+    """Yield the letters of every word of the rearrangement class, in
+    increasing lex order.
 
     Iterative, so a long class needs no deeper stack: each word is the
-    next permutation of the one before, starting from the sorted word."""
-    r = c.size
-    letters = [x for x, m in enumerate(c.counts, start=1) for _ in range(m)]
+    next permutation of the one before, starting from the sorted word and
+    ending at the reversed one."""
+    letters: list[int] = []
+    for x, m in enumerate(c.counts, start=1):
+        letters += [x] * m
+    last = letters[::-1]
     while True:
-        yield _trusted_word(tuple(letters), r)
+        yield tuple(letters)
+        if letters == last:
+            return
         # the last ascent i, swapped with the last letter above letters[i];
         # the tail after i is non-increasing, so reversing sorts it
         i = len(letters) - 2
-        while i >= 0 and letters[i] >= letters[i + 1]:
+        while letters[i] >= letters[i + 1]:
             i -= 1
-        if i < 0:
-            return
         j = len(letters) - 1
         while letters[j] <= letters[i]:
             j -= 1
         letters[i], letters[j] = letters[j], letters[i]
         letters[i + 1 :] = letters[:i:-1]
+
+
+def enumerate_class(c: Composition) -> Iterator[Word]:
+    """Yield every word of the rearrangement class in increasing lex order,
+    as class_letters lists them."""
+    r = c.size
+    for letters in class_letters(c):
+        yield _trusted_word(letters, r)
 
 
 def words_of_length(r: int, n: int) -> Iterator[Word]:

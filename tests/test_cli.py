@@ -346,6 +346,18 @@ def test_verify_psi_runs_at_size_4_and_is_capped_there(capsys):
     assert code == 1 and out == "" and "capped at 4" in err
 
 
+def test_verify_closure_runs_at_size_4_and_is_capped_there(capsys):
+    # the closure suite walks 2**(r*r) relations, like psi
+    code, out, _ = run(capsys, "verify", "closure", "--size", "4")
+    report = json.loads(out)
+    assert code == 0 and report["violations"] == []
+    assert report["checked"] == 65538
+    assert report["witnesses"] == {"kappa_extensible": 2112, "bipartitional": 730}
+    code, out, err = run(capsys, "verify", "closure", "--size", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: refusing alphabet size 5") and "capped at 4" in err
+
+
 def test_verify_pair_sweep_at_size_1_refuses_a_large_weight_quickly(capsys):
     # the tabled letters grow as W**2 at size 1, and nothing else binds there
     start = time.perf_counter()

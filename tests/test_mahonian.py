@@ -409,6 +409,45 @@ def test_kappa_bounds_table_matches_letter_definition():
         table[0, 0] = ~table[0, 0]
 
 
+def test_kappa_bounds_table_matches_kappa_bounds_r1_to_r4():
+    from majinv.mahonian import _kappa_bounds_table
+    from majinv.relations import kappa_bounds
+
+    for r in (1, 2, 3, 4):
+        table = _kappa_bounds_table(r).tolist()
+        assert len(table) == 1 << (r * r)
+        for u, row in enumerate(table):
+            assert tuple(row) == kappa_bounds(Relation.from_mask(r, u)), (r, u)
+
+
+def test_kappa_bounds_table_makes_no_relation_calls(monkeypatch):
+    from majinv import mahonian, relations
+
+    calls = []
+
+    def counted(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return call
+
+    bounds = counted("kappa_bounds", relations.kappa_bounds)
+    monkeypatch.setattr(relations, "kappa_bounds", bounds)
+    monkeypatch.setattr(mahonian, "kappa_bounds", bounds, raising=False)
+    monkeypatch.setattr(
+        Relation, "from_mask", staticmethod(counted("from_mask", Relation.from_mask))
+    )
+    mahonian._kappa_bounds_table.cache_clear()
+    start = time.perf_counter()
+    table = mahonian._kappa_bounds_table(4)
+    assert time.perf_counter() - start < 1
+    assert calls == [] and table.shape == (65536, 2)
+    # the counters do count: one table row the slow way
+    assert tuple(table[300]) == relations.kappa_bounds(Relation.from_mask(4, 300))
+    assert calls == ["from_mask", "kappa_bounds"]
+
+
 def test_classification_r1():
     report = verify_classification(1, 3)
     assert report.checked == 4 and report.ok
@@ -607,6 +646,119 @@ def test_kappa_machinery_r2():
     assert report.witnesses["bipartitional"] == sum(
         1 for u in enumerate_relations(2) if is_kappa_extension(u, u)
     )
+
+
+def test_kappa_machinery_r4():
+    report = verify_kappa_machinery(4)
+    assert report.ok and report.checked == 65538
+    assert report.witnesses == {"kappa_extensible": 2112, "bipartitional": 730}
+    with pytest.raises(ValueError, match="capped at 4"):
+        verify_kappa_machinery(5)
+
+
+def _closure_faults(monkeypatch, name, wrong):
+    """verify_kappa_machinery(2) with mahonian's ``name`` replaced by a
+    version that returns wrong(u) where that is not None."""
+    from majinv import mahonian
+
+    real = getattr(mahonian, name)
+
+    def faulty(u):
+        got = wrong(u)
+        return real(u) if got is None else got
+
+    monkeypatch.setattr(mahonian, name, faulty)
+    return verify_kappa_machinery(2).violations
+
+
+def _rel(pairs):
+    return Relation.from_pairs(2, pairs)
+
+
+def test_kappa_machinery_reports_a_self_extension_mismatch(monkeypatch):
+    # {(1,2),(2,1)} is not transitive, so not bipartitional, and not an
+    # extension of itself
+    u = _rel([(1, 2), (2, 1)])
+    found = _closure_faults(monkeypatch, "is_bipartitional", lambda v: v == u or None)
+    assert found == [{"u": u.to_json_dict(), "property": "self-extension mismatch"}]
+
+
+def test_kappa_machinery_reports_disagreeing_extensibility_criteria(monkeypatch):
+    u = _rel([(1, 2), (2, 1)])
+    found = _closure_faults(
+        monkeypatch, "is_kappa_extensible", lambda v: v == u or None
+    )
+    disagree = {"u": u.to_json_dict(), "property": "extensibility criteria disagree"}
+    assert disagree in found
+    monkeypatch.undo()
+    found = _closure_faults(
+        monkeypatch, "is_kappa_extensible", lambda v: False if v.count() == 0 else None
+    )
+    assert found == [
+        {"u": _rel([]).to_json_dict(), "property": "extensibility criteria disagree"}
+    ]
+    monkeypatch.undo()
+    # a closure that lacks the forced pair (1,2) of {(1,1)} does not extend it
+    u = _rel([(1, 1)])
+    found = _closure_faults(
+        monkeypatch, "kappa_closure", lambda v: v if v == u else None
+    )
+    assert found == [
+        {"u": u.to_json_dict(), "property": "extensibility criteria disagree"},
+        {"u": u.to_json_dict(), "property": "closure not bipartitional"},
+    ]
+
+
+def test_kappa_machinery_reports_a_closure_that_is_not_bipartitional(monkeypatch):
+    # {(1,1)} closes to {(1,1),(1,2)}, a bipartitional relation
+    closure = _rel([(1, 1), (1, 2)])
+    assert kappa_closure(_rel([(1, 1)])) == closure
+    found = _closure_faults(
+        monkeypatch, "is_bipartitional", lambda v: False if v == closure else None
+    )
+    assert {"u": closure.to_json_dict(), "property": "self-extension mismatch"} in found
+    for u in (_rel([(1, 1)]), closure):
+        assert {"u": u.to_json_dict(), "property": "closure not bipartitional"} in found
+
+
+def test_kappa_machinery_reports_a_closure_that_is_not_minimal(monkeypatch):
+    # the empty relation closes to itself; a closure with (2,2) added still
+    # extends it, but misses the extensions that lack (2,2)
+    u = _rel([])
+    found = _closure_faults(
+        monkeypatch, "kappa_closure", lambda v: _rel([(2, 2)]) if v == u else None
+    )
+    not_minimal = [v for v in found if v["property"] == "closure not minimal"]
+    assert not_minimal == [
+        {
+            "u": u.to_json_dict(),
+            "s": Relation.from_mask(2, s).to_json_dict(),
+            "property": "closure not minimal",
+        }
+        for s in range(16)
+        if not s & 0b1000
+    ]
+
+
+def test_kappa_machinery_cross_checks_the_bounds_table(monkeypatch):
+    from majinv import mahonian
+
+    table = mahonian._kappa_bounds_table(2).copy()
+    monkeypatch.setattr(mahonian, "_kappa_bounds_table", lambda r: table)
+    u = _rel([(1, 1)])
+    need, forbid = table[u.mask].tolist()
+    assert (need, forbid) == (0b0011, 0b0100)  # {(1,1),(1,2)} and {(2,1)}
+    table[u.mask, 0] = u.mask  # the forced pair (1,2) dropped from need
+    found = verify_kappa_machinery(2).violations
+    assert {v["property"] for v in found} == {
+        "self-extension mismatch",
+        "closure not minimal",
+    }
+    assert all(v["u"] == u.to_json_dict() for v in found)
+    table[u.mask] = need, forbid | need  # an empty cube
+    assert verify_kappa_machinery(2).violations == [
+        {"u": u.to_json_dict(), "property": "extensibility criteria disagree"}
+    ]
 
 
 def test_product_formula_r2():

@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from majinv import Composition, Word, class_size, composition_of, enumerate_class
-from majinv.words import compositions_of_weight, compositions_up_to, words_of_length
+from majinv.words import (
+    class_letters,
+    compositions_of_weight,
+    compositions_up_to,
+    words_of_length,
+)
 
 
 def wd(text, size):
@@ -125,6 +130,22 @@ def test_enumerate_class_is_the_full_multiset_orbit(counts):
     base = [x for x in range(1, len(counts) + 1) for _ in range(counts[x - 1])]
     orbit = sorted(set(permutations(base)))
     assert [w.letters for w in enumerate_class(c)] == orbit
+
+
+def test_class_letters_lists_enumerate_class_without_building_words(monkeypatch):
+    expected = {
+        c: [w.letters for w in enumerate_class(c)]
+        for n in range(6)
+        for c in compositions_of_weight(3, n)
+    }
+
+    def no_word(*args):
+        raise AssertionError("class_letters built a Word")
+
+    monkeypatch.setattr("majinv.words._trusted_word", no_word)
+    for c, letters in expected.items():
+        assert list(class_letters(c)) == letters
+    assert list(class_letters(Composition((2000,)))) == [(1,) * 2000]
 
 
 def test_enumerate_class_needs_no_stack_for_long_classes():
