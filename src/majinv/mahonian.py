@@ -30,8 +30,10 @@ every pair on every class, as the oracle of this one.
 
 The sweeps, the closure suite and verify_psi test kappa-extension on masks,
 against one cached array of relations.kappa_bounds per alphabet size, formed
-bitwise over all masks at once, and take their words from one class-grouped
-list.
+bitwise over all masks at once.  They list their words in one order, by
+length and then base-r code, as words_of_length and transform.psi_images do,
+and key a word's class by the place of the class's least word, its letters
+sorted.
 
 verify_psi checks the transformation theorem once per U, not once per (U, S).
 The kappa-extensions of U form a cube: S = need | F for every F within the
@@ -87,9 +89,7 @@ from .statistics import (
 from .transform import psi_images
 from .words import (
     Composition,
-    class_letters,
     class_size,
-    compositions_of_weight,
     compositions_up_to,
     words_of_length,
 )
@@ -99,15 +99,17 @@ PAIR_SWEEP_CAP = 3  # pair sweeps walk 4**(r*r) ordered pairs
 STAGE_CELL_BUDGET = 1 << 16  # word cells per sweep chunk; bounds the temporaries
 WORD_BYTES = 96  # a listed Word takes this plus 8 bytes per letter, by tracemalloc
 # letters of the words a pair sweep tables, over all its sizes and weights.  A
-# sweep's time grows with them: theorem-majinv took 0.3 s at r = 1, W = 1253
-# (785,630 letters) and 0.7-0.9 s at r = 3, W = 9 (234,660; there each word
-# is scored for each candidate), on 2 vCPUs.  r = 3, W = 10 (804,690) is
+# sweep's time grows with them: theorem-majinv took 0.2-0.3 s at r = 1,
+# W = 1253 (785,630 letters) and 0.7-1.0 s at r = 3, W = 9 (234,660; there
+# each word is scored for each candidate), on 2 vCPUs, the least of three
+# runs in one process, over several processes.  r = 3, W = 10 (804,690) is
 # refused.
 SWEEP_LETTER_BUDGET = 3 << 18
 # verify_psi's kappa-extensible relations x words x max_len.  At the edge, on
-# 2 vCPUs in one run: r = 1, max_len 2895 took 1.1-1.3 s (psi_images and
-# the per-length arrays dominate); r = 2, max_len 15 0.6 s; r = 3, max_len 8
-# 0.5 s; r = 4, max_len 5 0.8 s.
+# 2 vCPUs, the least of three runs in one process, over three processes: r = 1,
+# max_len 2895 took 0.8-0.9 s (numpy calls per length dominate, one word
+# each); r = 2, max_len 15 0.5 s; r = 3, max_len 8 0.4-0.5 s; r = 4,
+# max_len 5 0.8-0.9 s.
 PSI_WORK_BUDGET = 1 << 24
 
 
@@ -240,32 +242,34 @@ def _full_support_words(r: int, n: int) -> int:
     return sum((-1) ** j * math.comb(r, j) * (r - j) ** n for j in range(r + 1))
 
 
-def _class_words(classes) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The letters of every word of the ``classes``, grouped by class, with
-    the class index of each word.  With classes in ascending weight, every
-    prefix of a word is listed before the word."""
-    letters_list: list[tuple[int, ...]] = []
-    class_of: list[int] = []
-    for ci, c in enumerate(classes):
-        start = len(letters_list)
-        letters_list.extend(class_letters(c))
-        class_of.extend(itertools.repeat(ci, len(letters_list) - start))
-    return letters_list, class_of
+def _all_words(r: int, n: int) -> np.ndarray:
+    """The r**n words of length n over [r] as an (r**n, n) array, in the
+    order of words_of_length: row c holds the base-r digits of c, most
+    significant first, each plus one."""
+    return np.arange(r**n)[:, None] // r ** np.arange(n - 1, -1, -1) % r + 1
+
+
+def _places(words: np.ndarray, r: int, start: int) -> np.ndarray:
+    """start plus the base-r code of each word along the last axis, its
+    letters less one as the digits, most significant first.  Formed in
+    float64, exact below 2**53, so that BLAS does the sums."""
+    n = words.shape[-1]
+    codes = (words - 1.0) @ r ** np.arange(n - 1.0, -1.0, -1.0)
+    return codes.astype(np.int64) + start
 
 
 def _weight_tables(r: int, n: int):
     """Class keys and pair and adjacency cell rows of the words of weight n
     over [r] that use every letter.
 
-    Words are grouped by class; ``keybase`` holds class_index * stride with a
-    stride above every maj + inv value of a weight-n word.
+    ``keybase`` holds class_key * stride, with the key of a class the place
+    of its least word (see _places) and a stride above every maj + inv value
+    of a weight-n word.
     """
-    letters_list, class_of = _class_words(
-        c for c in compositions_of_weight(r, n) if all(c.counts)
-    )
+    words = _all_words(r, n)
+    words = words[(words[:, :, None] == np.arange(1, r + 1)).any(axis=1).all(axis=1)]
     stride = 1 << (n * (n - 1)).bit_length()
-    keybase = np.array(class_of, dtype=np.int64) * stride
-    words = np.array(letters_list, dtype=np.int64).reshape(len(letters_list), n)
+    keybase = _places(np.sort(words, axis=1), r, 0) * stride
     return (keybase, *_cell_rows(r, words))
 
 
@@ -684,36 +688,20 @@ def verify_macmahon(r: int, max_weight: int) -> Report:
 
 
 def _psi_words(r: int, max_len: int):
-    """The words up to max_len as _class_words lists them, with their class
-    indices, last letters (0 for the empty word) and pair and adjacency cell
-    rows; and ``code_of[i]``, the place of word i when the words are listed
-    by length, then by base-r code as transform.psi_images lists them."""
-    lengths = range(max_len + 1)
-    letters_list, class_of = _class_words(
-        c for n in lengths for c in compositions_of_weight(r, n)
-    )
-    last = np.array([ls[-1] if ls else 0 for ls in letters_list], dtype=np.int64)
-    # the list runs by weight, so the words of length n are a slice of it
-    cells, code_of, start = [], [], 0
-    for n in lengths:
-        words = np.array(letters_list[start : start + r**n], dtype=np.int64)
-        words = words.reshape(r**n, n)
+    """The class keys (the place of the class's least word), last letters (0
+    for the empty word) and pair and adjacency cell rows of the words up to
+    max_len, listed by length and code as _all_words lists them."""
+    keys, last, cells, start = [], [], [], 0
+    for n in range(max_len + 1):
+        words = _all_words(r, n)
+        keys.append(_places(np.sort(words, axis=1), r, start))
+        last.append(words[:, -1].copy() if n else [0])  # a view would keep words
         cells.append(_cell_rows(r, words))
-        code_of.append(_places(words, r, start))
         start += r**n
     # a cell count, and a difference of two, lies within max_len**2 of 0
     cell_type = np.min_scalar_type(-max_len * max_len - 1)
     pc, ac = (np.concatenate(rows).astype(cell_type) for rows in zip(*cells))
-    return letters_list, np.array(class_of), last, pc, ac, np.concatenate(code_of)
-
-
-def _places(words: np.ndarray, r: int, start: int) -> np.ndarray:
-    """start plus the base-r code of each word along the last axis, its
-    letters less one as the digits, most significant first.  Formed in
-    float64, exact below 2**53, so that BLAS does the sums."""
-    n = words.shape[-1]
-    codes = (words - 1.0) @ r ** np.arange(n - 1.0, -1.0, -1.0)
-    return codes.astype(np.int64) + start
+    return np.concatenate(keys), np.concatenate(last), pc, ac
 
 
 def _image_places(images, r: int) -> np.ndarray:
@@ -723,6 +711,15 @@ def _image_places(images, r: int) -> np.ndarray:
     return np.concatenate(
         [_places(img, r, start) for img, start in zip(images, starts)], axis=1
     )
+
+
+def _word_text(r: int, place: int) -> str:
+    """The text of the word at ``place`` of the listing by length and code."""
+    n = 0
+    while place >= r**n:
+        place -= r**n
+        n += 1
+    return " ".join(str(place // r**k % r + 1) for k in range(n - 1, -1, -1))
 
 
 def _cube_holds(pc, ac, image_idx, u, need, free) -> np.ndarray:
@@ -743,8 +740,9 @@ def _cube_holds(pc, ac, image_idx, u, need, free) -> np.ndarray:
 
 
 def _cube_failures(pc, ac, image, r: int, u: int, need: int, free: int):
-    """(S, first failing word) for each S of U's cube on which the identity
-    fails, S ascending; ``image[i]`` is the word psi sends word i to."""
+    """(S, place of the shortlex-least failing word) for each S of U's cube
+    on which the identity fails, S ascending; ``image[i]`` is the word psi
+    sends word i to."""
     cube = _cube(need, free)
     diff = pc[image].astype(np.int64) - pc
     e = (pc - ac).astype(np.int64) @ _bits([u], r)[0]
@@ -762,7 +760,7 @@ def verify_psi(r: int, max_len: int) -> Report:
     The images come from ``transform.psi_images``, a chunk of U at a time.
     The identity is checked once per U over its whole cube of extensions;
     only a U that fails has its cube walked, to list each failing S with its
-    first failing word.
+    shortlex-least failing word: shortest first, then in lex order.
     """
     _check_size(r, RELATION_ENUM_CAP)
     _check_max_len(max_len)
@@ -776,25 +774,26 @@ def verify_psi(r: int, max_len: int) -> Report:
         "image letters",
         "check psi",
     )
-    # per word: its letter tuple and, for one relation, its image letters and
+    # per word: its letters and, for one relation, its image letters and
     # their gather indices; its pc and ac rows, and its letters one-hot while
-    # they form; its place, class and last letter
+    # they form; its place, class key and last letter.  At the edges of
+    # PSI_WORK_BUDGET the traced peaks were 9.1, 30.8, 5.4 and 2.0 MiB at
+    # r = 1..4, against 392, 83, 10 and 1.3 MiB by this figure (at r = 4 a
+    # chunk's temporaries, not the words, set the peak)
     _check_word_bytes(
         _words_of_lengths(r, lengths),
-        WORD_BYTES + 17 * max_len + 2 * 8 * r * r + 32 * r * max_len + 48,
+        17 * max_len + 2 * 8 * r * r + 32 * r * max_len + 48,
         "tabulate psi",
     )
-    letters_list, class_arr, last, pc, ac, code_of = _psi_words(r, max_len)
-    nwords = len(letters_list)
-    index_of = np.empty_like(code_of)
-    index_of[code_of] = np.arange(nwords)
+    key, last, pc, ac = _psi_words(r, max_len)
+    nwords = key.size
     full = (1 << (r * r)) - 1
 
     report = Report()
     pair_count = 0
     for chunk, images in psi_images(r, extensible, max_len):
-        image_idx = index_of[_image_places(images, r)[:, code_of]]
-        bijection = (class_arr[image_idx] == class_arr).all(axis=1) & (
+        image_idx = _image_places(images, r)
+        bijection = (key[image_idx] == key).all(axis=1) & (
             np.sort(image_idx, axis=1) == np.arange(nwords)
         ).all(axis=1)
         fixed = (last[image_idx] == last).all(axis=1)
@@ -825,7 +824,7 @@ def verify_psi(r: int, max_len: int) -> Report:
                     {
                         "u": u_json,
                         "s": Relation.from_mask(r, s).to_json_dict(),
-                        "word": " ".join(map(str, letters_list[bad])),
+                        "word": _word_text(r, bad),
                         "property": "statistic identity fails",
                     }
                 )

@@ -139,19 +139,19 @@ def class_size(c: Composition) -> int:
     return math.factorial(n) // denom
 
 
-def class_letters(c: Composition) -> Iterator[tuple[int, ...]]:
-    """Yield the letters of every word of the rearrangement class, in
-    increasing lex order.
+def enumerate_class(c: Composition) -> Iterator[Word]:
+    """Yield every word of the rearrangement class in increasing lex order.
 
     Iterative, so a long class needs no deeper stack: each word is the
     next permutation of the one before, starting from the sorted word and
     ending at the reversed one."""
+    r = c.size
     letters: list[int] = []
     for x, m in enumerate(c.counts, start=1):
         letters += [x] * m
     last = letters[::-1]
     while True:
-        yield tuple(letters)
+        yield _trusted_word(tuple(letters), r)
         if letters == last:
             return
         # the last ascent i, swapped with the last letter above letters[i];
@@ -164,14 +164,6 @@ def class_letters(c: Composition) -> Iterator[tuple[int, ...]]:
             j -= 1
         letters[i], letters[j] = letters[j], letters[i]
         letters[i + 1 :] = letters[:i:-1]
-
-
-def enumerate_class(c: Composition) -> Iterator[Word]:
-    """Yield every word of the rearrangement class in increasing lex order,
-    as class_letters lists them."""
-    r = c.size
-    for letters in class_letters(c):
-        yield _trusted_word(letters, r)
 
 
 def words_of_length(r: int, n: int) -> Iterator[Word]:

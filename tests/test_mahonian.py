@@ -35,7 +35,7 @@ from majinv.mahonian import (
     verify_theorem_majinv,
 )
 from majinv.transform import _psi_letters
-from majinv.words import compositions_of_weight
+from majinv.words import compositions_of_weight, enumerate_class, words_of_length
 
 
 def test_enumerate_relations_counts():
@@ -210,14 +210,18 @@ def _all_mask_tables(r, letters_list):
 def _unseeded_sweep(r, max_weight, masks_of):
     """Pass arrays over flat pair indices after each weight 2..max_weight,
     and the survivor count per weight."""
-    from majinv.mahonian import STAGE_CELL_BUDGET, _class_words
+    from majinv.mahonian import STAGE_CELL_BUDGET
 
     bits = r * r
     npairs = 1 << (2 * bits)
     alive = None  # before weight 2, every flat index
     passes, survivors = [], {}
     for n in range(2, max_weight + 1):
-        letters_list, class_of = _class_words(compositions_of_weight(r, n))
+        letters_list, class_of = [], []
+        for ci, c in enumerate(compositions_of_weight(r, n)):
+            for w in enumerate_class(c):
+                letters_list.append(w.letters)
+                class_of.append(ci)
         stride = 1 << (n * (n - 1)).bit_length()
         keybase = np.array(class_of, dtype=np.int64) * stride
         invtab, majtab = _all_mask_tables(r, letters_list)
@@ -843,7 +847,7 @@ def test_distinctness_refuses_a_word_list_beyond_the_memory_budget():
 
 def test_psi_verifier_refuses_tables_beyond_the_memory_budget():
     # over [3], the 3**14 words of length 14 alone pass both the work budget
-    # and, at 2.5 GB as tuples, images and cell rows, the byte budget
+    # and, at 8.5 GB as letters, images and cell rows, the byte budget
     for r, max_len in ((3, 14), (2, 10**9)):
         with pytest.raises(ValueError, match="budget"):
             verify_psi(r, max_len)
@@ -853,13 +857,14 @@ def _oracle_verify_psi(r, max_len, psi_letters=_psi_letters):
     """verify_psi as a loop over every (U, S): one scalar psi call per (U,
     word), and both sides of the identity read from inv' and maj' tables
     over all 2**(r*r) masks.  The oracle of the cube check."""
-    from majinv.mahonian import Report, _class_words, _extends, _kappa_bounds_table
+    from majinv.mahonian import Report, _extends, _kappa_bounds_table
 
-    letters_list, class_of = _class_words(
-        c for n in range(max_len + 1) for c in compositions_of_weight(r, n)
-    )
+    letters_list = [w.letters for n in range(max_len + 1) for w in words_of_length(r, n)]
     index = {ls: i for i, ls in enumerate(letters_list)}
-    class_arr = np.array(class_of)
+    classes = {}  # a class named by its sorted letters
+    class_arr = np.array(
+        [classes.setdefault(tuple(sorted(ls)), len(classes)) for ls in letters_list]
+    )
     last = np.array([ls[-1] if ls else 0 for ls in letters_list])
     invtab, majtab = _all_mask_tables(r, letters_list)
     full = (1 << (r * r)) - 1
@@ -1072,8 +1077,40 @@ def test_report_json_schema():
     assert data["violations"] == []
 
 
+def test_all_words_lists_words_of_length():
+    from majinv.mahonian import _all_words
+
+    for r in (1, 2, 3, 4):
+        for n in range(6):
+            expected = [w.letters for w in words_of_length(r, n)]
+            words = _all_words(r, n)
+            assert words.shape == (r**n, n)
+            assert [tuple(row) for row in words.tolist()] == expected, (r, n)
+    assert _all_words(1, 2000).tolist() == [[1] * 2000]
+
+
+def test_class_keys_name_compositions():
+    # two words share a class key iff they have the same letter counts
+    from majinv.mahonian import _psi_words, _weight_tables
+
+    def same_iff_same_composition(keys, letters):
+        # the pairs (key, sorted letters) match keys and sorted letters one
+        # to one exactly when each determines the other
+        counts = [tuple(sorted(ls)) for ls in letters]
+        assert len(keys) == len(counts)
+        assert len(set(keys)) == len(set(counts)) == len(set(zip(keys, counts)))
+
+    for r in (1, 2, 3):
+        letters = [w.letters for n in range(7) for w in words_of_length(r, n)]
+        same_iff_same_composition(_psi_words(r, 6)[0].tolist(), letters)
+        for n in range(max(2, r), 7):
+            keybase = _weight_tables(r, n)[0].tolist()
+            full = [w.letters for w in words_of_length(r, n) if len(set(w.letters)) == r]
+            same_iff_same_composition(keybase, full)
+
+
 def test_cell_rows_times_bits_match_statistic_definitions():
-    from majinv import Word, graphical_inv, graphical_maj, words_of_length
+    from majinv import Word, graphical_inv, graphical_maj
     from majinv.mahonian import _bits, _cell_rows
 
     def check(r, words, masks):

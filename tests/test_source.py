@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard library only."""
 
 import ast
+import collections
 import importlib
 from pathlib import Path
 
@@ -38,6 +39,48 @@ def test_modules_use_every_import():
         if (found := _unused_imports(p.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+# private functions that only the tests call, as module.name in module order
+TEST_HOOKS = ("transform._clear_memos",)
+
+
+def _read_names(tree):
+    """The names a tree reads, plain or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            yield node.id if isinstance(node, ast.Name) else node.attr
+
+
+def _unread_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, as module.name, that no code of the
+    modules ``sources`` reads outside the function's own body."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = collections.Counter(name for tree in trees.values() for name in _read_names(tree))
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and reads[node.name] == list(_read_names(node)).count(node.name)
+    ]
+
+
+def test_unread_private_function_check_sees_one():
+    sources = {
+        "a": "def _used(): pass\ndef _rec(n): return _rec(n - 1)\ndef _dead(): pass\n",
+        "b": "from . import a\ndef _hook(): a._used()\ndef __getattr__(name): pass\n",
+    }
+    assert _unread_private_functions(sources) == ["a._rec", "a._dead", "b._hook"]
+
+
+def test_every_private_function_is_read():
+    # code with no caller goes; a test hook is named in TEST_HOOKS
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert sources
+    assert _unread_private_functions(sources) == list(TEST_HOOKS)
 
 
 def _unbounded_caches(source: str) -> list[str]:

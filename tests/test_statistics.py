@@ -19,7 +19,6 @@ from majinv import (
     graphical_inv,
     graphical_maj,
     inv_stat,
-    is_kappa_extension,
     k_maj,
     letter_counts,
     maj_stat,
@@ -272,18 +271,10 @@ def test_length_two_words_maj_equals_inv():
                 assert graphical_maj(u, w) == graphical_inv(u, w)
 
 
-def _kappa_extension_pairs(r):
-    rels = list(enumerate_relations(r))
-    for u in rels:
-        for s in rels:
-            if is_kappa_extension(s, u):
-                yield u, s
-
-
-def test_append_identity_small():
+def test_append_identity_small(kappa_extension_pairs):
     # inv'_S(wx) = inv'_S(w) + r_x(w) + t_x(w) whenever S kappa-extends U
     for r in (1, 2):
-        for u, s in _kappa_extension_pairs(r):
+        for u, s in kappa_extension_pairs(r):
             for n in range(5):
                 for w in words_of_length(r, n):
                     for x in range(1, r + 1):
@@ -292,8 +283,8 @@ def test_append_identity_small():
                         assert graphical_inv(s, wx) == graphical_inv(s, w) + rc + tc
 
 
-def test_append_identity_r3():
-    pairs = list(_kappa_extension_pairs(3))
+def test_append_identity_r3(kappa_extension_pairs):
+    pairs = kappa_extension_pairs(3)
     words = [w for n in range(5) for w in words_of_length(3, n)]
     for u, s in pairs:
         for w in words:
@@ -303,9 +294,9 @@ def test_append_identity_r3():
                 assert graphical_inv(s, wx) == graphical_inv(s, w) + rc + tc
 
 
-def test_append_identity_r3_longer_words_sampled():
+def test_append_identity_r3_longer_words_sampled(kappa_extension_pairs):
     rng = random.Random(11)
-    pairs = list(_kappa_extension_pairs(3))
+    pairs = kappa_extension_pairs(3)
     for _ in range(300):
         u, s = rng.choice(pairs)
         w = Word(tuple(rng.choices((1, 2, 3), k=5)), 3)

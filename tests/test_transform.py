@@ -15,7 +15,6 @@ from majinv import (
     gamma_inverse,
     graphical_inv,
     inv_stat,
-    is_kappa_extension,
     letter_counts,
     maj_stat,
     natural_order,
@@ -137,26 +136,18 @@ def test_foata_specialization_sends_maj_to_inv():
                 assert inv.evaluate(psi(order, w)) == maj.evaluate(w)
 
 
-def _kappa_extension_pairs(r):
-    rels = list(enumerate_relations(r))
-    for u in rels:
-        for s in rels:
-            if is_kappa_extension(s, u):
-                yield u, s
-
-
-def test_statistic_identity_small():
+def test_statistic_identity_small(kappa_extension_pairs):
     for r in (1, 2):
-        for u, s in _kappa_extension_pairs(r):
+        for u, s in kappa_extension_pairs(r):
             stat = MajInvStatistic(u, s - u)
             for n in range(6):
                 for w in words_of_length(r, n):
                     assert graphical_inv(s, psi(u, w)) == stat.evaluate(w)
 
 
-def test_statistic_identity_r3_sampled():
+def test_statistic_identity_r3_sampled(kappa_extension_pairs):
     rng = random.Random(23)
-    pairs = list(_kappa_extension_pairs(3))
+    pairs = kappa_extension_pairs(3)
     for u, s in rng.sample(pairs, 120):
         stat = MajInvStatistic(u, s - u)
         for _ in range(40):
@@ -164,7 +155,7 @@ def test_statistic_identity_r3_sampled():
             assert graphical_inv(s, psi(u, w)) == stat.evaluate(w)
 
 
-def test_gamma_statistic_identities():
+def test_gamma_statistic_identities(kappa_extension_pairs):
     # the five local identities driving the statistic transfer, checked per
     # appended letter for kappa-extension pairs
     def check(u, s, w, x, r):
@@ -182,13 +173,13 @@ def test_gamma_statistic_identities():
                 assert stat.evaluate(wx) == stat.evaluate(w) + tc
 
     for r in (1, 2):
-        for u, s in _kappa_extension_pairs(r):
+        for u, s in kappa_extension_pairs(r):
             for n in range(6):
                 for w in words_of_length(r, n):
                     for x in range(1, r + 1):
                         check(u, s, w, x, r)
 
-    pairs = list(_kappa_extension_pairs(3))
+    pairs = kappa_extension_pairs(3)
     words3 = [w for n in range(4) for w in words_of_length(3, n)]
     for u, s in pairs:
         for w in words3:
