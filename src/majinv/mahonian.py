@@ -62,6 +62,7 @@ import numpy as np
 
 from . import qseries
 from .relations import (
+    Bipartition,
     GMap,
     INF,
     Relation,
@@ -111,6 +112,12 @@ SWEEP_LETTER_BUDGET = 3 << 18
 # each); r = 2, max_len 15 0.5 s; r = 3, max_len 8 0.4-0.5 s; r = 4,
 # max_len 5 0.8-0.9 s.
 PSI_WORK_BUDGET = 1 << 24
+# verify_product_formula's steps (see _product_formula_steps).  At the edges,
+# on 2 vCPUs, one cold run per process over three processes: (r, max_weight)
+# = (4, 5) took 1.8-2.2 s, (3, 8) 1.4-1.5 s, (2, 16) 2.1-2.4 s and (1, 422)
+# 2.1-2.3 s (a 328 MB peak, mostly memoized coefficient lists).  (4, 6), 6.2 s,
+# (3, 9), 4.6 s, and (2, 17), 3.7-4.3 s, are refused.
+PRODUCT_FORMULA_BUDGET = 3 << 20
 
 
 @dataclass
@@ -625,54 +632,141 @@ def verify_kappa_machinery(r: int) -> Report:
     return report
 
 
+@functools.lru_cache(maxsize=4096)
+def _restricted_letters(letters, support: tuple[int, ...]) -> tuple[int, ...]:
+    """The letters of ``letters`` (1-based) in ``support`` (0-based),
+    relabelled 1..k in order."""
+    return tuple(j + 1 for j, x in enumerate(support) if x + 1 in letters)
+
+
+def _restricted_bipartition(b: Bipartition, support: tuple[int, ...]) -> Bipartition:
+    """``b`` restricted to ``support`` and relabelled in order: the blocks cut
+    to the support, the emptied ones dropped, and each kept block's beta."""
+    blocks, betas = zip(
+        *(
+            (cut, beta)
+            for block, beta in zip(b.blocks, b.betas)
+            if (cut := _restricted_letters(block, support))
+        )
+    )
+    return Bipartition(blocks, betas)
+
+
+def _class_failures(stat: MajInvStatistic, max_weight: int, expected_of) -> list:
+    """(class, distribution, expected) for each class of
+    compositions_up_to(stat.size, max_weight), in that order, whose
+    distribution differs from its polynomial in qseries.by_class of
+    ``expected_of``: a certificate's violations, listed class by class."""
+    comps = compositions_up_to(stat.size, max_weight)
+    got = qseries.distributions_up_to(stat, max_weight)
+    expected = qseries.by_class(stat.size, max_weight, expected_of)
+    return [(c, g, e) for c, g, e in zip(comps, got, expected) if g != e]
+
+
+# the classes bench workload: 86 keys, 58 hits in 144 calls
+@functools.lru_cache(maxsize=1024)
+def _product_formulas(b: Bipartition, max_weight: int) -> tuple:
+    """bipartitional_product_formula on every class of
+    qseries.full_support_counts(b.size, max_weight).  A block the class
+    leaves empty contributes the factor 1, so on a class with support s the
+    formula of a bipartition equals that of its restriction to s."""
+    return tuple(
+        qseries.bipartitional_product_formula(Composition(counts), b)
+        for counts in qseries.full_support_counts(b.size, max_weight)
+    )
+
+
+def _product_formula_steps(r: int, max_weight: int, relations: int):
+    """verify_product_formula's steps per weight n <= max_weight: per
+    relation, one per word of weight n, which the walk visits in Python, and
+    one per 16 of the coefficient slots its weight-n classes fill in C."""
+    for n in range(max_weight + 1):
+        slots = math.comb(n + r - 1, r - 1) * (n * (n - 1) + 1)
+        yield relations * (r ** min(n, 64) + slots // 16)
+
+
 @_stopwatch
 def verify_product_formula(r: int, max_weight: int) -> Report:
     """Match the closed product form of the closure distribution against the
     class distribution of qseries.distribution for every kappa-extensible
-    relation on [r]."""
-    _check_size(r, PAIR_SWEEP_CAP)
+    relation on [r].
+
+    Compared a support at a time: the walked tuple of the restricted
+    statistic against _product_formulas of the restricted bipartition, the
+    verdict memoized on that pair of keys.  Only a relation with a failing
+    support is listed class by class."""
+    _check_size(r, RELATION_ENUM_CAP)
     _check_max_weight(max_weight)
+    bounds = _kappa_bounds_table(r)
+    extensible = np.flatnonzero(bounds[:, 0] & bounds[:, 1] == 0)
+    _check_budget(
+        _product_formula_steps(r, max_weight, len(extensible)),
+        PRODUCT_FORMULA_BUDGET,
+        "steps",
+        "check the product formula",
+    )
+    groups = qseries.support_groups(r, max_weight)
     comps = compositions_up_to(r, max_weight)
     report = Report()
-    extensible = 0
-    for u in enumerate_relations(r):
-        if not is_kappa_extensible(u):
-            continue
-        extensible += 1
-        closure = kappa_closure(u)
+    verdicts: dict = {}
+
+    def holds(stat, bip, support) -> bool:
+        keys = (
+            qseries.restricted_key(stat, support),
+            _restricted_bipartition(bip, support),
+        )
+        if keys not in verdicts:
+            verdicts[keys] = qseries.support_distributions(
+                keys[0], max_weight
+            ) == _product_formulas(keys[1], max_weight)
+        return verdicts[keys]
+
+    for mask, need in zip(extensible.tolist(), bounds[extensible, 0].tolist()):
+        u = Relation.from_mask(r, mask)
+        closure = Relation.from_mask(r, need)  # need is U's kappa-closure
         bip = extract_bipartition(closure)
         stat = MajInvStatistic(u, closure - u)
-        for c, lhs in zip(comps, qseries.distributions_up_to(stat, max_weight)):
-            report.checked += 1
-            rhs = qseries.bipartitional_product_formula(c, bip)
-            if lhs != rhs:
-                report.violations.append(
-                    {
-                        "u": u.to_json_dict(),
-                        "composition": c.text(),
-                        "distribution": lhs.to_json_dict(),
-                        "product_formula": rhs.to_json_dict(),
-                    }
-                )
-    report.witnesses = {"kappa_extensible": extensible, "max_weight": max_weight}
+        report.checked += len(comps)
+        if all(holds(stat, bip, support) for support, _ in groups):
+            continue
+        for c, lhs, rhs in _class_failures(
+            stat,
+            max_weight,
+            lambda s: _product_formulas(_restricted_bipartition(bip, s), max_weight),
+        ):
+            report.violations.append(
+                {
+                    "u": u.to_json_dict(),
+                    "composition": c.text(),
+                    "distribution": lhs.to_json_dict(),
+                    "product_formula": rhs.to_json_dict(),
+                }
+            )
+    report.witnesses = {"kappa_extensible": len(extensible), "max_weight": max_weight}
     return report
 
 
 @_stopwatch
 def verify_macmahon(r: int, max_weight: int) -> Report:
     """Check dist(inv) = dist(maj) = q-multinomial on every class up to
-    max_weight over [r]."""
+    max_weight over [r].  Both are certified a support at a time by
+    qseries.is_mahonian_up_to; only when one fails are the classes listed
+    one by one."""
     _check_size(r, RELATION_ENUM_CAP)
     _check_max_weight(max_weight)
     inv = inv_stat(r)
     maj = maj_stat(r)
-    report = Report()
+    comps = compositions_up_to(r, max_weight)
+    report = Report(checked=len(comps), witnesses={"max_weight": max_weight})
+    if qseries.is_mahonian_up_to(inv, max_weight) and qseries.is_mahonian_up_to(
+        maj, max_weight
+    ):
+        return report
     for c, d_inv, d_maj in zip(
-        compositions_up_to(r, max_weight),
+        comps,
         qseries.distributions_up_to(inv, max_weight),
         qseries.distributions_up_to(maj, max_weight),
     ):
-        report.checked += 1
         qm = qseries.q_multinomial(c)
         if not (d_inv == d_maj == qm):
             report.violations.append(
@@ -683,7 +777,6 @@ def verify_macmahon(r: int, max_weight: int) -> Report:
                     "q_multinomial": qm.to_json_dict(),
                 }
             )
-    report.witnesses = {"max_weight": max_weight}
     return report
 
 
@@ -764,26 +857,14 @@ def verify_psi(r: int, max_len: int) -> Report:
     """
     _check_size(r, RELATION_ENUM_CAP)
     _check_max_len(max_len)
-    lengths = range(max_len + 1)
     bounds = _kappa_bounds_table(r)
     extensible = np.flatnonzero(bounds[:, 0] & bounds[:, 1] == 0)
     steps = len(extensible) * max_len
     _check_budget(
-        (count * steps for count in _words_of_lengths(r, lengths)),
+        (count * steps for count in _words_of_lengths(r, range(max_len + 1))),
         PSI_WORK_BUDGET,
         "image letters",
         "check psi",
-    )
-    # per word: its letters and, for one relation, its image letters and
-    # their gather indices; its pc and ac rows, and its letters one-hot while
-    # they form; its place, class key and last letter.  At the edges of
-    # PSI_WORK_BUDGET the traced peaks were 9.1, 30.8, 5.4 and 2.0 MiB at
-    # r = 1..4, against 392, 83, 10 and 1.3 MiB by this figure (at r = 4 a
-    # chunk's temporaries, not the words, set the peak)
-    _check_word_bytes(
-        _words_of_lengths(r, lengths),
-        17 * max_len + 2 * 8 * r * r + 32 * r * max_len + 48,
-        "tabulate psi",
     )
     key, last, pc, ac = _psi_words(r, max_len)
     nwords = key.size
@@ -835,6 +916,27 @@ def verify_psi(r: int, max_len: int) -> Report:
         "max_len": max_len,
     }
     return report
+
+
+# the classes bench workload: 30 keys, 310 hits in 340 calls
+@functools.lru_cache(maxsize=256)
+def _subset_formulas(k: int, a: tuple[int, ...], max_weight: int) -> tuple:
+    """The closed distribution of subset_stat(k, a, b), whatever b, on every
+    class of qseries.full_support_counts(k, max_weight):
+
+        |class of the non-A counts| * [n; c(a_1), ..., c(a_j), m]_q
+
+    with a_1 > ... > a_j the letters of A and m the sum of the non-A counts.
+    Letters with count 0 change neither factor, so on a class with support s
+    the formula of A equals that of A restricted to s."""
+    complement = [x for x in range(1, k + 1) if x not in a]
+    out = []
+    for counts in qseries.full_support_counts(k, max_weight):
+        parts = tuple(counts[x - 1] for x in reversed(a))
+        rest = tuple(counts[x - 1] for x in complement)
+        coeff = class_size(Composition(rest)) if rest else 1
+        out.append(coeff * qseries.q_multinomial(Composition(parts + (sum(rest),))))
+    return tuple(out)
 
 
 @_stopwatch
@@ -895,23 +997,41 @@ def verify_applications(max_weight: int) -> Report:
             )
 
     comps = compositions_up_to(r, max_weight)
+    groups = qseries.support_groups(r, max_weight)
+    verdicts: dict = {}
+
+    def holds(stat, a, b, support) -> bool:
+        key = (
+            len(support),
+            _restricted_letters(a, support),
+            _restricted_letters(b, support),
+        )
+        if key not in verdicts:
+            verdicts[key] = qseries.support_distributions(
+                qseries.restricted_key(stat, support), max_weight
+            ) == _subset_formulas(*key[:2], max_weight)
+        return verdicts[key]
+
     for a in subsets:
-        complement = [x for x in letters if x not in a]
-        expected = []
-        for c in comps:
-            parts = tuple(c.counts[x - 1] for x in sorted(a, reverse=True))
-            rest = tuple(c.counts[x - 1] for x in complement)
-            coeff = class_size(Composition(rest)) if rest else 1
-            expected.append(
-                coeff * qseries.q_multinomial(Composition(parts + (sum(rest),)))
-            )
         for b in subsets:
-            got = qseries.distributions_up_to(subset_stat(r, a, b), max_weight)
-            for c, got_c, expected_c in zip(comps, got, expected):
-                check(
-                    "subset-distribution",
-                    got_c == expected_c,
-                    lambda: {"a": sorted(a), "b": sorted(b), "composition": c.text()},
+            stat = subset_stat(r, a, b)
+            report.checked += len(comps)
+            if all(holds(stat, a, b, support) for support, _ in groups):
+                continue
+            for c, _, _ in _class_failures(
+                stat,
+                max_weight,
+                lambda s: _subset_formulas(
+                    len(s), _restricted_letters(a, s), max_weight
+                ),
+            ):
+                report.violations.append(
+                    {
+                        "family": "subset-distribution",
+                        "a": sorted(a),
+                        "b": sorted(b),
+                        "composition": c.text(),
+                    }
                 )
 
     for size in (3, 4):

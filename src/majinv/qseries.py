@@ -30,14 +30,26 @@ product-formula, applications), which score many statistics on thousands
 of small classes: statistics that agree on a support, and classes that
 differ only by letters they leave out, share one walk.
 
-Certificates ask for every class up to a weight W, and
-``distributions_up_to`` answers from a per-support front.  The classes of
-``compositions_up_to(r, W)`` are grouped by support once per (r, W); the
-statistic is restricted once per support, and the polynomials of all the
-classes on that support are one memoized tuple per (restricted U rows,
-restricted V rows, W), filled by the walk.  A statistic then costs one
-lookup per support, at most 2**r - 1, where it cost one per class.
-``distribution`` stays the entry point for a single class.
+Certificates ask for every class up to a weight W, and they are answered a
+support at a time.  The classes of ``compositions_up_to(r, W)`` are grouped
+by support once per (r, W) (``support_groups``); the statistic is
+restricted once per support, and the polynomials of all the classes on that
+support are one memoized tuple per (restricted key, W), in the order of
+``full_support_counts(k, W)``, k the support's size.  A certificate
+compares that tuple whole with an expected tuple over the same classes,
+memoized on what the expected side depends on after restriction: k for the
+q-multinomials, the bipartition restricted to the support and relabelled in
+order for the product formula, the restricted A for the subset formula.
+The verdict is memoized where the same keys recur: on (restricted key, W)
+in ``is_mahonian_up_to``, on (restricted key, restricted bipartition) for
+the product formula, and on (k, restricted A, restricted B), which fix the
+restricted subset statistic, for the subset formula.  ``is_mahonian_up_to``
+stops at the first support that fails.  Only a
+statistic with a failing support is listed class by class, so a
+certificate's violations and their order are those of a class-by-class
+comparison.  The empty class scores 1 on both sides of every formula.
+``distributions_up_to`` scatters the tuples back to one polynomial per
+class, and ``distribution`` stays the entry point for a single class.
 """
 
 from __future__ import annotations
@@ -77,10 +89,9 @@ class QPolynomial:
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[int]) -> "QPolynomial":
         """Build from an ascending coefficient list, trimming trailing zeros."""
-        cs = list(coeffs)
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs) if cs else (0,))
+        cs = tuple(coeffs)
+        top = max(compress(range(len(cs)), cs), default=0)  # the last non-zero
+        return cls(cs[: top + 1] or (0,))
 
     @classmethod
     def zero(cls) -> "QPolynomial":
@@ -239,7 +250,7 @@ def _check_coefficients(n: int, length: int) -> None:
         )
 
 
-# the classes bench workload: 363 keys, 8,205 hits in 8,568 calls
+# the classes bench workload: 71 keys, 930 hits in 1,001 calls
 @lru_cache(maxsize=4096)
 def _q_multinomial_cached(counts: tuple[int, ...]) -> QPolynomial:
     """The product over the letters of the q-binomials [t; c], t the count of
@@ -269,7 +280,7 @@ def q_multinomial(c: Composition) -> QPolynomial:
     return _q_multinomial_cached(c.counts)
 
 
-# the classes bench workload: 2,726 keys, 6,182 hits in 8,908 calls
+# the classes bench workload: 2,065 keys, 3,343 hits in 5,408 calls
 @lru_cache(maxsize=4096)
 def _restrict(u: Relation, v: Relation, support: tuple[int, ...]):
     """The rows of U and V restricted to the letters of ``support`` and
@@ -310,12 +321,11 @@ def distribution(stat: MajInvStatistic, c: Composition) -> QPolynomial:
         )
     _check_words(class_size(c), f"the class {c.text()}")
     support = tuple(compress(range(c.size), c.counts))
-    u_rows, v_rows = _restrict(stat.maj_relation, stat.inv_relation, support)
-    return _walk(u_rows, v_rows, counts)
+    return _walk(*restricted_key(stat, support), counts)
 
 
 # the classes bench workload: 1,685 keys, 95 hits in 1,780 calls; the
-# classes reach it through _support_distributions
+# classes reach it through support_distributions
 @lru_cache(maxsize=4096)
 def _walk(
     u_rows: tuple[int, ...], v_rows: tuple[int, ...], counts: tuple[int, ...]
@@ -370,7 +380,8 @@ def _walk(
 
     walk(0, 0, 0, k)
     del walk  # walk refers to itself; unbinding frees it now, not at the next GC
-    return QPolynomial.from_coeffs(coeffs)
+    top = max(compress(range(len(coeffs)), coeffs))  # the class is not empty
+    return QPolynomial(tuple(coeffs[: top + 1]))
 
 
 def _words_up_to(r: int, max_weight: int) -> int:
@@ -383,10 +394,6 @@ def _words_up_to(r: int, max_weight: int) -> int:
 
 @lru_cache(maxsize=16)
 def _support_groups(r: int, max_weight: int) -> tuple:
-    """The classes of compositions_up_to(r, max_weight) with a non-empty
-    support, grouped by it: (support, positions) pairs.  Within a support
-    the classes run by weight, then in lex order of their non-zero counts,
-    which is the order of _full_support_counts(len(support), max_weight)."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, c in enumerate(compositions_up_to(r, max_weight)):
         if c.weight:
@@ -394,65 +401,104 @@ def _support_groups(r: int, max_weight: int) -> tuple:
     return tuple((support, tuple(positions)) for support, positions in groups.items())
 
 
-@lru_cache(maxsize=16)
-def _full_support_counts(k: int, max_weight: int) -> tuple[tuple[int, ...], ...]:
-    """The counts of the classes over [k] that use every letter, of weight
-    <= max_weight, in the order of compositions_up_to."""
-    return tuple(c.counts for c in compositions_up_to(k, max_weight) if all(c.counts))
+def support_groups(r: int, max_weight: int) -> tuple:
+    """The classes of compositions_up_to(r, max_weight) with a non-empty
+    support, grouped by it: (support, positions) pairs, the support as
+    0-based letters.  Within a support the classes run by weight, then in lex
+    order of their non-zero counts, which is the order of
+    full_support_counts(len(support), max_weight).
 
-
-# the classes bench workload: 301 keys, 8,605 hits in 8,906 calls
-@lru_cache(maxsize=1024)
-def _support_distributions(
-    u_rows: tuple[int, ...], v_rows: tuple[int, ...], max_weight: int
-) -> tuple[QPolynomial, ...]:
-    """_walk on every class of _full_support_counts(len(u_rows), max_weight)."""
-    return tuple(
-        _walk(u_rows, v_rows, counts)
-        for counts in _full_support_counts(len(u_rows), max_weight)
-    )
-
-
-def distributions_up_to(stat: MajInvStatistic, max_weight: int) -> list[QPolynomial]:
-    """distribution(stat, c) for every c in compositions_up_to(stat.size,
-    max_weight), in that order.
-
-    The statistic is restricted once per support, and the polynomials of all
-    the classes with that support are read as one memoized tuple.  Refuses
-    max_weight past BYTE_BUDGET as distribution does, and a request of more
-    than WORD_BUDGET words.  Under that budget no walk recurses past
+    A certificate over these classes is refused before anything is walked:
+    max_weight past BYTE_BUDGET as distribution refuses it, and a request of
+    more than WORD_BUDGET words.  Under that budget no walk recurses past
     WALK_DEPTH_CAP: a class over [1] has one letter kind, and over two or
     more letters the weight stays below 20.
     """
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
     _check_coefficients(max_weight, max_weight * (max_weight - 1) + 1)
-    r = stat.size
     what = f"a certificate up to weight {max_weight:,} over [{r}]"
     _check_words(_words_up_to(r, max_weight), what)
-    u, v = stat.maj_relation, stat.inv_relation
+    return _support_groups(r, max_weight)
+
+
+@lru_cache(maxsize=16)
+def full_support_counts(k: int, max_weight: int) -> tuple[tuple[int, ...], ...]:
+    """The counts of the classes over [k] that use every letter, of weight
+    <= max_weight, in the order of compositions_up_to."""
+    return tuple(c.counts for c in compositions_up_to(k, max_weight) if all(c.counts))
+
+
+def restricted_key(stat: MajInvStatistic, support: tuple[int, ...]):
+    """The restricted key of ``stat`` on ``support`` (0-based letters): the
+    rows of U and V restricted to it and relabelled in order."""
+    return _restrict(stat.maj_relation, stat.inv_relation, support)
+
+
+# the classes bench workload: 301 keys, 281 hits in 582 calls
+@lru_cache(maxsize=1024)
+def support_distributions(key, max_weight: int) -> tuple[QPolynomial, ...]:
+    """The polynomials of the classes of full_support_counts(k, max_weight),
+    k the letters of the restricted ``key``, walked once per key."""
+    u_rows, v_rows = key
+    return tuple(
+        _walk(u_rows, v_rows, counts)
+        for counts in full_support_counts(len(u_rows), max_weight)
+    )
+
+
+def by_class(r: int, max_weight: int, polys_of) -> list[QPolynomial]:
+    """One polynomial per class of compositions_up_to(r, max_weight),
+    refused as support_groups refuses: ``polys_of(support)`` gives those of
+    the classes on a support, in the order of full_support_counts, and the
+    empty class gets 1."""
+    groups = support_groups(r, max_weight)
     out = [QPolynomial.one()] * len(compositions_up_to(r, max_weight))
-    for support, positions in _support_groups(r, max_weight):
-        polys = _support_distributions(*_restrict(u, v, support), max_weight)
-        for i, poly in zip(positions, polys):
+    for support, positions in groups:
+        for i, poly in zip(positions, polys_of(support)):
             out[i] = poly
     return out
 
 
+def distributions_up_to(stat: MajInvStatistic, max_weight: int) -> list[QPolynomial]:
+    """distribution(stat, c) for every c in compositions_up_to(stat.size,
+    max_weight), in that order, refused as support_groups refuses.
+
+    The statistic is restricted once per support, and the polynomials of all
+    the classes with that support are read as one memoized tuple.
+    """
+    def polys_of(support):
+        return support_distributions(restricted_key(stat, support), max_weight)
+
+    return by_class(stat.size, max_weight, polys_of)
+
+
 @lru_cache(maxsize=16)
-def _q_multinomials_up_to(r: int, max_weight: int) -> tuple[QPolynomial, ...]:
-    return tuple(q_multinomial(c) for c in compositions_up_to(r, max_weight))
+def _support_q_multinomials(k: int, max_weight: int) -> tuple[QPolynomial, ...]:
+    return tuple(_q_multinomial_cached(c) for c in full_support_counts(k, max_weight))
+
+
+# the classes bench workload: 98 keys, 4,072 hits in 4,170 calls
+@lru_cache(maxsize=4096)
+def _is_mahonian_on(key, max_weight: int) -> bool:
+    """Whether the restricted key is mahonian on every class of its full
+    support up to max_weight: one comparison of whole tuples."""
+    expected = _support_q_multinomials(len(key[0]), max_weight)
+    return support_distributions(key, max_weight) == expected
 
 
 def is_mahonian_up_to(stat: MajInvStatistic, max_weight: int) -> bool:
     """Certify equidistribution with inv on every class of weight <= max_weight.
 
     A finite certificate only; the bound is part of the name on purpose.
+    Compared a support at a time, stopping at the first that fails.
     """
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
-    expected = _q_multinomials_up_to(stat.size, max_weight)
-    return tuple(distributions_up_to(stat, max_weight)) == expected
+    return all(
+        _is_mahonian_on(restricted_key(stat, support), max_weight)
+        for support, _ in support_groups(stat.size, max_weight)
+    )
 
 
 def bipartitional_product_formula(c: Composition, b: Bipartition) -> QPolynomial:

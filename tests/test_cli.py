@@ -358,6 +358,19 @@ def test_verify_closure_runs_at_size_4_and_is_capped_there(capsys):
     assert err.startswith("error: refusing alphabet size 5") and "capped at 4" in err
 
 
+def test_verify_product_formula_is_capped_at_4_and_refuses_heavy_weights(capsys):
+    # a single-relation sweep, capped at 4 like closure and psi; its step
+    # budget refuses (4, 6) before any relation is walked
+    t0 = time.perf_counter()
+    for argv, message in (
+        (["--size", "5", "--max-weight", "2"], "capped at 4"),
+        (["--size", "4", "--max-weight", "6"], "budget"),
+    ):
+        code, out, err = run(capsys, "verify", "product-formula", *argv)
+        assert code == 1 and out == "" and err.startswith("error:") and message in err
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_verify_pair_sweep_at_size_1_refuses_a_large_weight_quickly(capsys):
     # the tabled letters grow as W**2 at size 1, and nothing else binds there
     start = time.perf_counter()
@@ -1036,7 +1049,7 @@ def test_fuzzed_verify_argv(capsys, suite, size, weight, length):
     refused = not all(_is_integer(t) for t in tokens)
     if not refused:
         r = 3 if size is None else int(size)
-        cap = 4 if suite in ("macmahon", "psi") else 3
+        cap = 4 if suite in ("macmahon", "psi", "product-formula") else 3
         refused = (
             (suite != "applications" and not 1 <= r <= cap)
             or (suite in WEIGHT_SUITES and int(weight) < 2)

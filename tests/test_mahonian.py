@@ -846,11 +846,48 @@ def test_distinctness_refuses_a_word_list_beyond_the_memory_budget():
 
 
 def test_psi_verifier_refuses_tables_beyond_the_memory_budget():
-    # over [3], the 3**14 words of length 14 alone pass both the work budget
-    # and, at 8.5 GB as letters, images and cell rows, the byte budget
+    # the work budget refuses both before any table is built: over [3] the
+    # 3**14 words of length 14 alone would take about 8.5 GB as letters,
+    # images and cell rows
     for r, max_len in ((3, 14), (2, 10**9)):
         with pytest.raises(ValueError, match="budget"):
             verify_psi(r, max_len)
+
+
+class _Tabulated(Exception):
+    pass
+
+
+def test_psi_tables_within_the_work_budget_stay_under_the_byte_budget(monkeypatch):
+    # per word: its letters and, for one relation, its image letters and
+    # their gather indices; its pc and ac rows, and its letters one-hot while
+    # they form; its place, class key and last letter.  At the largest
+    # max_len the work budget accepts, the traced peaks were 9.1, 30.8, 5.4
+    # and 2.0 MiB at r = 1..4 (at r = 4 a chunk's temporaries, not the words,
+    # set the peak), so no byte guard is needed past the work budget
+    from majinv import mahonian, qseries
+    budget = mahonian.PSI_WORK_BUDGET
+
+    def tabulated(r, max_len):
+        raise _Tabulated
+
+    monkeypatch.setattr(mahonian, "_psi_words", tabulated)
+    edges = []
+    for r in (1, 2, 3, 4):
+        bounds = mahonian._kappa_bounds_table(r)
+        extensible = int((bounds[:, 0] & bounds[:, 1] == 0).sum())
+        max_len, words = 0, 1
+        while extensible * (max_len + 1) * (words + r ** (max_len + 1)) <= budget:
+            max_len += 1
+            words += r**max_len
+        with pytest.raises(_Tabulated):  # the work budget accepts the edge
+            verify_psi(r, max_len)
+        with pytest.raises(ValueError, match="budget"):
+            verify_psi(r, max_len + 1)
+        per_word = 17 * max_len + 2 * 8 * r * r + 32 * r * max_len + 48
+        assert words * per_word < qseries.BYTE_BUDGET, r
+        edges.append(max_len)
+    assert edges == [2895, 15, 8, 5]
 
 
 def _oracle_verify_psi(r, max_len, psi_letters=_psi_letters):

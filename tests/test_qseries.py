@@ -242,7 +242,7 @@ def test_distribution_edge_classes():
 def _clear_memo():
     qseries._restrict.cache_clear()
     qseries._walk.cache_clear()
-    qseries._support_distributions.cache_clear()
+    qseries.support_distributions.cache_clear()
 
 
 def test_memo_matches_oracle_in_shuffled_orders():
