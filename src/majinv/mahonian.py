@@ -677,12 +677,9 @@ def _product_formulas(b: Bipartition, max_weight: int) -> tuple:
 
 
 def _product_formula_steps(r: int, max_weight: int, relations: int):
-    """verify_product_formula's steps per weight n <= max_weight: per
-    relation, one per word of weight n, which the walk visits in Python, and
-    one per 16 of the coefficient slots its weight-n classes fill in C."""
-    for n in range(max_weight + 1):
-        slots = math.comb(n + r - 1, r - 1) * (n * (n - 1) + 1)
-        yield relations * (r ** min(n, 64) + slots // 16)
+    """verify_product_formula's steps per weight n <= max_weight: the steps
+    of qseries.certificate_steps once per relation."""
+    return (relations * steps for steps in qseries.certificate_steps(r, max_weight))
 
 
 @_stopwatch

@@ -22,29 +22,40 @@ same polynomial from the definitions; the tests keep it as the brute-force
 oracle of the walk.
 
 A letter absent from the class never occurs in a prefix, so the polynomial
-depends only on the restricted key: the rows of U and V restricted to the
-support {z : c(z) > 0}, relabelled 0..k-1 in order, and the tuple of
-non-zero counts.  The walk is memoized on that key, and the restriction on
-(U, V, support).  The traffic is the class certificates (macmahon,
-product-formula, applications), which score many statistics on thousands
-of small classes: statistics that agree on a support, and classes that
-differ only by letters they leave out, share one walk.
+depends only on the rows of U and V restricted to the support
+{z : c(z) > 0} and on the non-zero counts.  Nor does it change when the
+letters are renamed, U, V and the counts together.  So the restriction
+(``_restrict``, cached on (U, V, support)) relabels the support's letters
+0..k-1 in the order of a signature that no renaming changes (loops and
+degrees; see ``_restrict``): the restricted key is that form, the
+restricted rows so relabelled, and the order, which support letter became
+which form letter.  The walk is memoized on the form and the counts read in
+its labels, so statistics that differ only by a relabelling mostly share
+their walks; the form need not be canonical, since letters that tie on the
+signature only cost hits.  The traffic is the class certificates
+(macmahon, product-formula, applications), which score many statistics on
+thousands of small classes: statistics that agree on a support up to
+relabelling, and classes that differ only by letters they leave out, share
+one walk.
 
 Certificates ask for every class up to a weight W, and they are answered a
 support at a time.  The classes of ``compositions_up_to(r, W)`` are grouped
 by support once per (r, W) (``support_groups``); the statistic is
 restricted once per support, and the polynomials of all the classes on that
-support are one memoized tuple per (restricted key, W), in the order of
-``full_support_counts(k, W)``, k the support's size.  A certificate
-compares that tuple whole with an expected tuple over the same classes,
-memoized on what the expected side depends on after restriction: k for the
-q-multinomials, the bipartition restricted to the support and relabelled in
-order for the product formula, the restricted A for the subset formula.
-The verdict is memoized where the same keys recur: on (restricted key, W)
-in ``is_mahonian_up_to``, on (restricted key, restricted bipartition) for
-the product formula, and on (k, restricted A, restricted B), which fix the
-restricted subset statistic, for the subset formula.  ``is_mahonian_up_to``
-stops at the first support that fails.  Only a
+support are one memoized tuple per (form, W), in the order of
+``full_support_counts(k, W)``, k the support's size.  A key reads its own
+tuple through a gather memoized on (order, W): its class with counts c is
+the form's class with counts (c[order[0]], ..., c[order[k-1]]).  A
+certificate compares that tuple whole with an expected tuple over the same
+classes, memoized on what the expected side depends on after restriction:
+k for the q-multinomials, the bipartition restricted to the support and
+relabelled in support order for the product formula, the restricted A for
+the subset formula.  The verdict is memoized where the same keys recur: on
+(form, W) in ``is_mahonian_up_to``, since the q-multinomials do not change
+when the counts are permuted, on (restricted key, restricted bipartition)
+for the product formula, and on (k, restricted A, restricted B), which fix
+the restricted subset statistic, for the subset formula.
+``is_mahonian_up_to`` stops at the first support that fails.  Only a
 statistic with a failing support is listed class by class, so a
 certificate's violations and their order are those of a class-by-class
 comparison.  The empty class scores 1 on both sides of every formula.
@@ -65,9 +76,10 @@ from .words import Composition, class_size, compositions_up_to
 from .relations import Bipartition, Relation, json_int
 
 BYTE_BUDGET = 1 << 30  # largest table or coefficient list built at once, well under the RAM
-# words one distribution request may walk: at about 0.9 million words a second
-# (Python 3.11, 2 vCPUs) a certificate over [2] up to weight 19, 1,048,575
-# words, took 1.1 s, and the class (5, 5, 5), 756,756 words, 0.8 s
+# steps one distribution request may take, one per word walked and, for a
+# certificate, one per 16 coefficient slots: at about 0.9 million words a
+# second (Python 3.11, 2 vCPUs) a certificate over [2] up to weight 19,
+# 1,048,575 words, took 1.1 s, and the class (5, 5, 5), 756,756 words, 0.8 s
 WORD_BUDGET = 1 << 20
 # the walk recurses once per letter placed before one letter kind is left,
 # n - (least non-zero count) levels, under Python's default limit of 1,000
@@ -229,14 +241,17 @@ def q_factorial(n: int) -> QPolynomial:
     return out
 
 
-def _check_words(words: int, what: str) -> None:
-    """Refuse ``what``, whose walk would visit ``words`` words, past
+def _check_steps(steps: Iterable[int], what: str) -> None:
+    """Refuse ``what`` once its ``steps``, summed as they come, pass
     WORD_BUDGET, before anything is walked."""
-    if words > WORD_BUDGET:
-        raise ValueError(
-            f"refusing {what}: at least {words:,} words to walk, past the budget "
-            f"of {WORD_BUDGET:,} words"
-        )
+    total = 0
+    for step in steps:
+        total += step
+        if total > WORD_BUDGET:
+            raise ValueError(
+                f"refusing {what}: that takes {total:,} or more steps, past the "
+                f"budget of {WORD_BUDGET:,} steps"
+            )
 
 
 def _check_coefficients(n: int, length: int) -> None:
@@ -280,31 +295,86 @@ def q_multinomial(c: Composition) -> QPolynomial:
     return _q_multinomial_cached(c.counts)
 
 
+@lru_cache(maxsize=256)
+def _restriction(support: tuple[int, ...]):
+    """Tables that restrict rows to ``support``, k letters: its bit mask;
+    for each row masked to it, the restricted row, bit j for the letter
+    support[j]; and for each restricted row its bits spread to fields of
+    ``width`` = k.bit_length() bits, one per letter, so that a sum of spread
+    rows holds each letter's in-degree in its field.  A support of a walkable
+    class has at most 9 letters (9! words), so the tables stay small."""
+    k = len(support)
+    width = k.bit_length()
+    restricted = {
+        sum(1 << y for j, y in enumerate(support) if row >> j & 1): row
+        for row in range(1 << k)
+    }
+    spread = [
+        sum(1 << width * j for j in range(k) if row >> j & 1) for row in range(1 << k)
+    ]
+    return sum(1 << y for y in support), restricted, spread.__getitem__, width
+
+
+@lru_cache(maxsize=256)
+def _relabelling(order: tuple[int, ...]) -> list[int]:
+    """Each row over k = len(order) letters with letter order[j] renamed j."""
+    return [
+        sum(1 << j for j, x in enumerate(order) if row >> x & 1)
+        for row in range(1 << len(order))
+    ]
+
+
 # the classes bench workload: 2,065 keys, 3,343 hits in 5,408 calls
 @lru_cache(maxsize=4096)
 def _restrict(u: Relation, v: Relation, support: tuple[int, ...]):
-    """The rows of U and V restricted to the letters of ``support`` and
-    relabelled 0..k-1 in order: all of the statistic that a class with this
-    support can see.  Cached, since certificates score one statistic on many
-    classes with the same support."""
+    """The restricted key of (U, V) on ``support``: the form, the rows of U
+    and V restricted to the letters of ``support`` and relabelled in the
+    order of their signatures, and that order, ``order[j]`` the place in
+    ``support`` of the letter relabelled j.
 
-    def rows(rel: Relation) -> tuple[int, ...]:
-        return tuple(
-            sum(((rel.rows[x] >> y) & 1) << j for j, y in enumerate(support))
-            for x in support
+    A letter's signature is (U loop, V loop, U out-degree, U in-degree,
+    V out-degree, V in-degree), read on the restricted rows, and the letters
+    are sorted by it stably, so ties keep the order of the support.
+    Relabelling the alphabet moves letters but not their signatures, so
+    statistics that differ by a relabelling mostly share their form.
+    Cached, since certificates score one statistic on many classes with the
+    same support."""
+    if len(support) == 1:  # its loops are all there is to the statistic
+        (x,) = support
+        return ((u.rows[x] >> x & 1,), (v.rows[x] >> x & 1,)), (0,)
+    mask, restricted, spread, width = _restriction(support)
+    u_rows = [restricted[u.rows[x] & mask] for x in support]
+    v_rows = [restricted[v.rows[x] & mask] for x in support]
+    u_in = sum(map(spread, u_rows))
+    v_in = sum(map(spread, v_rows))
+    field = (1 << width) - 1
+    signatures = [
+        (
+            u_row >> j & 1,
+            v_row >> j & 1,
+            u_row.bit_count(),
+            u_in >> width * j & field,
+            v_row.bit_count(),
+            v_in >> width * j & field,
         )
-
-    return rows(u), rows(v)
+        for j, (u_row, v_row) in enumerate(zip(u_rows, v_rows))
+    ]
+    order = tuple(sorted(range(len(support)), key=signatures.__getitem__))
+    relabelled = _relabelling(order)
+    return (
+        tuple([relabelled[u_rows[j]] for j in order]),
+        tuple([relabelled[v_rows[j]] for j in order]),
+    ), order
 
 
 def distribution(stat: MajInvStatistic, c: Composition) -> QPolynomial:
     """Sum of q**stat(w) over the rearrangement class of c.
 
-    The polynomial of the restricted key of the module docstring, walked
-    once and then read from the memo.  Refused before anything is built: a
-    class whose coefficient list would take more than BYTE_BUDGET bytes, one
-    of more than WORD_BUDGET words, and one whose walk would recurse past
-    WALK_DEPTH_CAP.
+    The polynomial of the class read in the form of its restricted key (see
+    the module docstring), walked once and then read from the memo.  Refused
+    before anything is built: a class whose coefficient list would take more
+    than BYTE_BUDGET bytes, one of more than WORD_BUDGET words, and one
+    whose walk would recurse past WALK_DEPTH_CAP.
     """
     if stat.size != c.size:
         raise ValueError("statistic and composition alphabet sizes differ")
@@ -319,13 +389,14 @@ def distribution(stat: MajInvStatistic, c: Composition) -> QPolynomial:
             f"refusing the class {c.text()}: its walk would recurse {depth:,} "
             f"letters deep, past the cap of {WALK_DEPTH_CAP:,}"
         )
-    _check_words(class_size(c), f"the class {c.text()}")
+    _check_steps((class_size(c),), f"the class {c.text()}")
     support = tuple(compress(range(c.size), c.counts))
-    return _walk(*restricted_key(stat, support), counts)
+    form, order = restricted_key(stat, support)
+    return _walk(*form, tuple(counts[j] for j in order))
 
 
-# the classes bench workload: 1,685 keys, 95 hits in 1,780 calls; the
-# classes reach it through support_distributions
+# the classes bench workload: 499 keys, 81 hits in 580 calls; the classes
+# reach it through _form_distributions
 @lru_cache(maxsize=4096)
 def _walk(
     u_rows: tuple[int, ...], v_rows: tuple[int, ...], counts: tuple[int, ...]
@@ -384,12 +455,15 @@ def _walk(
     return QPolynomial(tuple(coeffs[: top + 1]))
 
 
-def _words_up_to(r: int, max_weight: int) -> int:
-    """The words over [r] of weight <= max_weight.  For r >= 2 weights past
-    64 are left out, since the words of weight 64 alone pass any budget."""
-    if r == 1:
-        return max_weight + 1
-    return (r ** (min(max_weight, 64) + 1) - 1) // (r - 1)
+def certificate_steps(r: int, max_weight: int):
+    """The steps of a certificate over [r] per weight n <= max_weight: one
+    per word of weight n, which the walk visits in Python, and one per 16 of
+    the coefficient slots that the walks of the classes of weight n allocate
+    and scan in C, n(n-1)+1 each.  Read lazily, since the words alone grow
+    as r**n."""
+    for n in range(max_weight + 1):
+        slots = math.comb(n + r - 1, r - 1) * (n * (n - 1) + 1)
+        yield r**n + slots // 16
 
 
 @lru_cache(maxsize=16)
@@ -410,15 +484,16 @@ def support_groups(r: int, max_weight: int) -> tuple:
 
     A certificate over these classes is refused before anything is walked:
     max_weight past BYTE_BUDGET as distribution refuses it, and a request of
-    more than WORD_BUDGET words.  Under that budget no walk recurses past
-    WALK_DEPTH_CAP: a class over [1] has one letter kind, and over two or
-    more letters the weight stays below 20.
+    more than WORD_BUDGET steps (certificate_steps), which refuses weights
+    past 369 over [1], 18 over [2], 12 over [3] and 9 over [4].  Under that
+    budget no walk recurses past WALK_DEPTH_CAP: a class over [1] has one
+    letter kind, and over two or more letters the weight stays below 20.
     """
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
     _check_coefficients(max_weight, max_weight * (max_weight - 1) + 1)
     what = f"a certificate up to weight {max_weight:,} over [{r}]"
-    _check_words(_words_up_to(r, max_weight), what)
+    _check_steps(certificate_steps(r, max_weight), what)
     return _support_groups(r, max_weight)
 
 
@@ -430,21 +505,41 @@ def full_support_counts(k: int, max_weight: int) -> tuple[tuple[int, ...], ...]:
 
 
 def restricted_key(stat: MajInvStatistic, support: tuple[int, ...]):
-    """The restricted key of ``stat`` on ``support`` (0-based letters): the
-    rows of U and V restricted to it and relabelled in order."""
+    """The restricted key of ``stat`` on ``support`` (0-based letters): its
+    form and order, as _restrict gives them."""
     return _restrict(stat.maj_relation, stat.inv_relation, support)
 
 
-# the classes bench workload: 301 keys, 281 hits in 582 calls
+# the classes bench workload: 99 keys, 424 hits in 523 calls
 @lru_cache(maxsize=1024)
-def support_distributions(key, max_weight: int) -> tuple[QPolynomial, ...]:
-    """The polynomials of the classes of full_support_counts(k, max_weight),
-    k the letters of the restricted ``key``, walked once per key."""
-    u_rows, v_rows = key
+def _form_distributions(form, max_weight: int) -> tuple[QPolynomial, ...]:
+    """The polynomials of the classes of full_support_counts(k, max_weight)
+    in the labels of ``form``, k its letters, walked once per form."""
+    u_rows, v_rows = form
     return tuple(
         _walk(u_rows, v_rows, counts)
         for counts in full_support_counts(len(u_rows), max_weight)
     )
+
+
+# the classes bench workload: 31 keys, 453 hits in 484 calls
+@lru_cache(maxsize=256)
+def _gather(order: tuple[int, ...], max_weight: int) -> tuple[int, ...]:
+    """For each class of full_support_counts(k, max_weight), k = len(order),
+    the place in that tuple of the same class relabelled by ``order``: the
+    counts c read as (c[order[0]], ..., c[order[k-1]])."""
+    classes = full_support_counts(len(order), max_weight)
+    place = {counts: i for i, counts in enumerate(classes)}
+    return tuple(place[tuple(counts[j] for j in order)] for counts in classes)
+
+
+def support_distributions(key, max_weight: int) -> tuple[QPolynomial, ...]:
+    """The polynomials of the classes of full_support_counts(k, max_weight),
+    k the letters of the restricted ``key``: the tuple of its form, read
+    through the gather of its order."""
+    form, order = key
+    polys = _form_distributions(form, max_weight)
+    return tuple(map(polys.__getitem__, _gather(order, max_weight)))
 
 
 def by_class(r: int, max_weight: int, polys_of) -> list[QPolynomial]:
@@ -478,13 +573,15 @@ def _support_q_multinomials(k: int, max_weight: int) -> tuple[QPolynomial, ...]:
     return tuple(_q_multinomial_cached(c) for c in full_support_counts(k, max_weight))
 
 
-# the classes bench workload: 98 keys, 4,072 hits in 4,170 calls
+# the classes bench workload: 39 keys, 4,131 hits in 4,170 calls
 @lru_cache(maxsize=4096)
-def _is_mahonian_on(key, max_weight: int) -> bool:
-    """Whether the restricted key is mahonian on every class of its full
-    support up to max_weight: one comparison of whole tuples."""
-    expected = _support_q_multinomials(len(key[0]), max_weight)
-    return support_distributions(key, max_weight) == expected
+def _is_mahonian_on(form, max_weight: int) -> bool:
+    """Whether the form is mahonian on every class of its full support up to
+    max_weight: one comparison of whole tuples.  The q-multinomial does not
+    change when the counts are permuted, so the form's verdict is that of
+    every restricted key with this form, whatever its order."""
+    expected = _support_q_multinomials(len(form[0]), max_weight)
+    return _form_distributions(form, max_weight) == expected
 
 
 def is_mahonian_up_to(stat: MajInvStatistic, max_weight: int) -> bool:
@@ -496,7 +593,7 @@ def is_mahonian_up_to(stat: MajInvStatistic, max_weight: int) -> bool:
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
     return all(
-        _is_mahonian_on(restricted_key(stat, support), max_weight)
+        _is_mahonian_on(restricted_key(stat, support)[0], max_weight)
         for support, _ in support_groups(stat.size, max_weight)
     )
 
@@ -526,3 +623,22 @@ def bipartitional_product_formula(c: Composition, b: Bipartition) -> QPolynomial
         exponent += beta * math.comb(m, 2)
     scaled = (coeff * a for a in _q_multinomial_cached(tuple(block_weights)).coeffs)
     return QPolynomial((0,) * exponent + tuple(scaled))  # coeff > 0 keeps it canonical
+
+
+def _clear_memos() -> None:
+    """Empty every memo of the module: the walked polynomials, the verdicts
+    read from them, and the tables and keys they are read through."""
+    for memo in (
+        _q_multinomial_cached,
+        _restriction,
+        _relabelling,
+        _restrict,
+        _walk,
+        _support_groups,
+        full_support_counts,
+        _form_distributions,
+        _gather,
+        _support_q_multinomials,
+        _is_mahonian_on,
+    ):
+        memo.cache_clear()

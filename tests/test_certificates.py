@@ -57,9 +57,7 @@ SUBSETS = [
 
 def _clear_engine_memos():
     # every memo that holds a walked polynomial or a verdict read from one
-    qseries._walk.cache_clear()
-    qseries.support_distributions.cache_clear()
-    qseries._is_mahonian_on.cache_clear()
+    qseries._clear_memos()
 
 
 def _mahonian_by_class(stat, max_weight):
@@ -112,7 +110,7 @@ def test_is_mahonian_up_to_stops_at_the_first_failing_support():
     assert len(qseries.support_groups(2, 4)[0][0]) == 1
     _clear_engine_memos()
     assert not is_mahonian_up_to(stat, 4)
-    assert qseries.support_distributions.cache_info().currsize == 1
+    assert qseries._form_distributions.cache_info().currsize == 1
 
 
 def _bipartitions(r):

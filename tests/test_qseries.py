@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -240,9 +241,26 @@ def test_distribution_edge_classes():
 
 
 def _clear_memo():
-    qseries._restrict.cache_clear()
-    qseries._walk.cache_clear()
-    qseries.support_distributions.cache_clear()
+    qseries._clear_memos()
+
+
+def _assert_memo_matches_oracle_in_two_shuffled_orders(stats, max_weight, rng):
+    cases = [
+        (stat, c)
+        for stat in stats
+        for c in compositions_up_to(stat.size, max_weight)
+        if c.weight
+    ]
+    expected = {case: _brute_force(*case) for case in cases}
+    for _ in range(2):
+        rng.shuffle(cases)
+        _clear_memo()
+        for case in cases:
+            assert distribution(*case) == expected[case], (
+                case[0].maj_relation.mask,
+                case[0].inv_relation.mask,
+                case[1].counts,
+            )
 
 
 def test_memo_matches_oracle_in_shuffled_orders():
@@ -256,14 +274,7 @@ def test_memo_matches_oracle_in_shuffled_orders():
             MajInvStatistic(Relation.from_mask(r, u), Relation.from_mask(r, v))
             for u, v in masks
         }
-        cases = [(stat, c) for stat in stats for c in compositions_up_to(r, 4)]
-        expected = {case: _brute_force(*case) for case in cases if case[1].weight}
-        for _ in range(2):
-            rng.shuffle(cases)
-            _clear_memo()
-            for case in cases:
-                if case[1].weight:
-                    assert distribution(*case) == expected[case], case
+        _assert_memo_matches_oracle_in_two_shuffled_orders(stats, 4, rng)
 
 
 def test_memo_entry_is_shared_exactly_when_the_support_agrees():
@@ -293,6 +304,115 @@ def test_memo_entry_is_shared_exactly_when_the_support_agrees():
     for size, (stat, cls) in enumerate(others, start=2):
         assert distribution(stat, cls) == _brute_force(stat, cls)
         assert qseries._walk.cache_info().currsize == size
+
+
+def _relabelled(stat, perm):
+    # the statistic with each letter x renamed perm[x - 1]
+    def image(rel):
+        pairs = [(perm[x - 1], perm[y - 1]) for x, y in rel.pairs()]
+        return Relation.from_pairs(rel.size, pairs)
+
+    return MajInvStatistic(image(stat.maj_relation), image(stat.inv_relation))
+
+
+def _stat(r, u_pairs, v_pairs):
+    return MajInvStatistic(Relation.from_pairs(r, u_pairs), Relation.from_pairs(r, v_pairs))
+
+
+def test_relabelled_memo_matches_brute_force_exhaustively_small():
+    # every (U, V) at r <= 2 on every class of weight <= 5, so statistics
+    # whose restrictions share a form read each other's walks
+    rng = random.Random(19)
+    for r in (1, 2):
+        masks = range(1 << (r * r))
+        stats = [
+            MajInvStatistic(Relation.from_mask(r, u), Relation.from_mask(r, v))
+            for u in masks
+            for v in masks
+        ]
+        _assert_memo_matches_oracle_in_two_shuffled_orders(stats, 5, rng)
+
+
+# letters that tie on the signature: no relation, a cyclic tournament, and
+# the cyclic split of criterion 6
+TIED_R3 = (
+    _stat(3, [], []),
+    _stat(3, [(1, 2), (2, 3), (3, 1)], []),
+    _stat(3, [], [(1, 3), (3, 2), (2, 1)]),
+    _stat(3, [(1, 2), (2, 3), (3, 1)], [(1, 2), (2, 3), (3, 1)]),
+    _stat(3, [(1, 2)], [(2, 3), (3, 1)]),
+)
+
+
+def test_relabelled_memo_matches_brute_force_sampled_r3():
+    rng = random.Random(2019)
+    stats = [
+        MajInvStatistic(Relation.from_mask(3, u), Relation.from_mask(3, v))
+        for u, v in ((rng.randrange(512), rng.randrange(512)) for _ in range(16))
+    ]
+    stats += [
+        _relabelled(stat, perm)
+        for stat in TIED_R3
+        for perm in itertools.permutations((1, 2, 3))
+    ]
+    _assert_memo_matches_oracle_in_two_shuffled_orders(stats, 5, rng)
+
+
+def _class_orbits(stats, max_weight):
+    # the (restricted statistic, counts) pairs of the non-empty classes, up
+    # to relabelling: each keyed by its least image over every order of its
+    # support, found by brute force
+    orbits = set()
+    for stat in stats:
+        for c in compositions_up_to(stat.size, max_weight):
+            support = [x for x in range(1, c.size + 1) if c.counts[x - 1]]
+            if support:
+                orbits.add(
+                    min(
+                        tuple(
+                            tuple(rel.contains(x, y) for x in letters for y in letters)
+                            for rel in (stat.maj_relation, stat.inv_relation)
+                        )
+                        + (tuple(c.counts[x - 1] for x in letters),)
+                        for letters in itertools.permutations(support)
+                    )
+                )
+    return len(orbits)
+
+
+def test_relabelled_statistics_share_one_walk_per_class_orbit():
+    # no two letters of this statistic tie on the signature on any support,
+    # so its six images walk each class orbit once, as it does alone
+    stat = _stat(3, [(1, 2), (2, 2)], [(3, 1), (1, 1)])
+    images = [_relabelled(stat, perm) for perm in itertools.permutations((1, 2, 3))]
+    orbits = _class_orbits([stat], 5)
+    assert orbits == _class_orbits(images, 5)
+    _clear_memo()
+    distributions_up_to(stat, 5)
+    assert qseries._walk.cache_info().currsize == orbits
+    for image in images:
+        _assert_up_to_matches(image, 5, _brute_force)
+    assert qseries._walk.cache_info().currsize == orbits
+    # the classes (2, 1) and (1, 2) of the support {1, 3} differ, so counts
+    # read in the wrong labels would show
+    a, b = Composition((2, 0, 1)), Composition((1, 0, 2))
+    assert distribution(stat, a) != distribution(stat, b)
+
+
+def test_clear_memos_empties_every_memo_of_the_module():
+    stat = _stat(3, [(1, 2)], [(2, 3), (3, 1)])
+    distributions_up_to(stat, 4)
+    assert is_mahonian_up_to(maj_stat(3), 4)
+    bipartitional_product_formula(Composition((1, 2)), Bipartition(((1, 2),), (0,)))
+    memos = {
+        name: memo
+        for name, memo in vars(qseries).items()
+        if hasattr(memo, "cache_info") and memo.__module__ == qseries.__name__
+    }
+    assert "_walk" in memos and "_form_distributions" in memos
+    assert [name for name, memo in memos.items() if not memo.cache_info().currsize] == []
+    qseries._clear_memos()
+    assert [name for name, memo in memos.items() if memo.cache_info().currsize] == []
 
 
 def _q_multinomial_by_factorials(counts):
@@ -416,17 +536,28 @@ def test_distribution_refuses_a_class_past_the_word_budget(monkeypatch):
 
 
 def test_certificates_refuse_requests_past_the_word_budget(monkeypatch):
-    # a certificate up to weight W over [r] walks sum over n <= W of r**n words
+    # a certificate up to weight W over [r] takes, per weight n <= W, one
+    # step per word, r**n, and one per 16 of the n(n-1)+1 coefficient slots
+    # of each class of weight n
     stat = inv_stat(2)
-    assert qseries._words_up_to(2, 3) == 1 + 2 + 4 + 8
-    assert qseries._words_up_to(1, 11585) == 11586
-    assert qseries._words_up_to(2, 10**9) == 2**65 - 1  # counted up to weight 64
+    assert list(qseries.certificate_steps(2, 3)) == [1, 2, 4, 8 + 28 // 16]
+    assert list(qseries.certificate_steps(1, 9)) == [1, 1, 1, 1, 1, 2, 2, 3, 4, 5]
+    # the edges of the default budget: the slots decide over [1] and [2]
+    for r, edge in ((1, 369), (2, 18), (3, 12), (4, 9)):
+        steps = list(qseries.certificate_steps(r, edge + 1))
+        assert sum(steps[:-1]) <= qseries.WORD_BUDGET < sum(steps), r
     monkeypatch.setattr(qseries, "WORD_BUDGET", 15)
+    with pytest.raises(ValueError, match="budget"):
+        is_mahonian_up_to(stat, 3)
+    monkeypatch.setattr(qseries, "WORD_BUDGET", 16)
     assert is_mahonian_up_to(stat, 3)
     for weight in (4, 10**4):
         with pytest.raises(ValueError, match="budget"):
             distributions_up_to(stat, weight)
-    assert len(distributions_up_to(maj_stat(1), 14)) == 15
+    assert len(distributions_up_to(maj_stat(1), 8)) == 9  # 16 steps
+    for weight in (9, 11000):
+        with pytest.raises(ValueError, match="budget"):
+            distributions_up_to(maj_stat(1), weight)
 
 
 coeffs_st = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6)
