@@ -25,14 +25,16 @@ A letter absent from the class never occurs in a prefix, so the polynomial
 depends only on the rows of U and V restricted to the support
 {z : c(z) > 0} and on the non-zero counts.  Nor does it change when the
 letters are renamed, U, V and the counts together.  So the restriction
-(``_restrict``, cached on (U, V, support)) relabels the support's letters
-0..k-1 in the order of a signature that no renaming changes (loops and
-degrees; see ``_restrict``): the restricted key is that form, the
-restricted rows so relabelled, and the order, which support letter became
-which form letter.  The walk is memoized on the form and the counts read in
-its labels, so statistics that differ only by a relabelling mostly share
-their walks; the form need not be canonical, since letters that tie on the
-signature only cost hits.  The traffic is the class certificates
+relabels the support's letters 0..k-1 in the order of a signature that no
+renaming changes (loops and degrees; see ``_relabel``): the restricted key
+is that form, the restricted rows so relabelled, and the order, which
+support letter became which form letter.  It is two memos: ``_restrict``,
+on (U, V, support), only masks and restricts the rows, and ``_relabel``
+sorts and relabels them, memoized on the restricted rows, so statistics
+that differ off the support share one sort.  The walk is memoized on the
+form and the counts read in its labels, so statistics that differ only by
+a relabelling mostly share their walks; the form need not be canonical,
+since letters that tie on the signature only cost hits.  The traffic is the class certificates
 (macmahon, product-formula, applications), which score many statistics on
 thousands of small classes: statistics that agree on a support up to
 relabelling, and classes that differ only by letters they leave out, share
@@ -55,10 +57,12 @@ the subset formula.  The verdict is memoized where the same keys recur: on
 when the counts are permuted, on (restricted key, restricted bipartition)
 for the product formula, and on (k, restricted A, restricted B), which fix
 the restricted subset statistic, for the subset formula.
-``is_mahonian_up_to`` stops at the first support that fails.  Only a
-statistic with a failing support is listed class by class, so a
-certificate's violations and their order are those of a class-by-class
-comparison.  The empty class scores 1 on both sides of every formula.
+``is_mahonian_up_to`` stops at the first support that fails, and its whole
+verdict is memoized on (U, V, W), read only after the budget check of
+``support_groups``, so a request past the budget is refused even when its
+verdict is known.  Only a statistic with a failing support is listed class
+by class, so a certificate's violations and their order are those of a
+class-by-class comparison.  The empty class scores 1 on both sides of every formula.
 ``distributions_up_to`` scatters the tuples back to one polynomial per
 class, and ``distribution`` stays the entry point for a single class.
 """
@@ -241,16 +245,18 @@ def q_factorial(n: int) -> QPolynomial:
     return out
 
 
-def _check_steps(steps: Iterable[int], what: str) -> None:
-    """Refuse ``what`` once its ``steps``, summed as they come, pass
-    WORD_BUDGET, before anything is walked."""
+def check_budget(costs: Iterable[int], budget: int, unit: str, what: str) -> None:
+    """Refuse ``what`` (a noun phrase, or "to" and a verb) once its
+    ``costs``, summed as they come, pass ``budget`` ``unit``, before any of
+    the work starts.  The costs are read lazily, so a refusal comes as soon
+    as the sum passes."""
     total = 0
-    for step in steps:
-        total += step
-        if total > WORD_BUDGET:
+    for cost in costs:
+        total += cost
+        if total > budget:
             raise ValueError(
-                f"refusing {what}: that takes {total:,} or more steps, past the "
-                f"budget of {WORD_BUDGET:,} steps"
+                f"refusing {what}: that takes {total:,} or more {unit}, "
+                f"past the budget of {budget:,} {unit}"
             )
 
 
@@ -297,22 +303,27 @@ def q_multinomial(c: Composition) -> QPolynomial:
 
 @lru_cache(maxsize=256)
 def _restriction(support: tuple[int, ...]):
-    """Tables that restrict rows to ``support``, k letters: its bit mask;
-    for each row masked to it, the restricted row, bit j for the letter
-    support[j]; and for each restricted row its bits spread to fields of
-    ``width`` = k.bit_length() bits, one per letter, so that a sum of spread
-    rows holds each letter's in-degree in its field.  A support of a walkable
-    class has at most 9 letters (9! words), so the tables stay small."""
-    k = len(support)
-    width = k.bit_length()
+    """Tables that restrict rows to ``support``: its bit mask, and for each
+    row masked to it the restricted row, bit j for the letter support[j].  A
+    support of a walkable class has at most 9 letters (9! words), so the
+    tables stay small."""
     restricted = {
         sum(1 << y for j, y in enumerate(support) if row >> j & 1): row
-        for row in range(1 << k)
+        for row in range(1 << len(support))
     }
+    return sum(1 << y for y in support), restricted
+
+
+@lru_cache(maxsize=16)
+def _spread(k: int):
+    """For each row over k letters its bits spread to fields of ``width`` =
+    k.bit_length() bits, one per letter, so that a sum of spread rows holds
+    each letter's in-degree in its field; and that width."""
+    width = k.bit_length()
     spread = [
         sum(1 << width * j for j in range(k) if row >> j & 1) for row in range(1 << k)
     ]
-    return sum(1 << y for y in support), restricted, spread.__getitem__, width
+    return spread.__getitem__, width
 
 
 @lru_cache(maxsize=256)
@@ -324,27 +335,39 @@ def _relabelling(order: tuple[int, ...]) -> list[int]:
     ]
 
 
-# the classes bench workload: 2,065 keys, 3,343 hits in 5,408 calls
+# the classes bench workload: 2,065 keys, 283 hits in 2,348 calls
 @lru_cache(maxsize=4096)
 def _restrict(u: Relation, v: Relation, support: tuple[int, ...]):
     """The restricted key of (U, V) on ``support``: the form, the rows of U
-    and V restricted to the letters of ``support`` and relabelled in the
-    order of their signatures, and that order, ``order[j]`` the place in
-    ``support`` of the letter relabelled j.
+    and V restricted to the letters of ``support`` and relabelled by
+    _relabel, and that order, ``order[j]`` the place in ``support`` of the
+    letter relabelled j.
 
-    A letter's signature is (U loop, V loop, U out-degree, U in-degree,
-    V out-degree, V in-degree), read on the restricted rows, and the letters
-    are sorted by it stably, so ties keep the order of the support.
-    Relabelling the alphabet moves letters but not their signatures, so
-    statistics that differ by a relabelling mostly share their form.
     Cached, since certificates score one statistic on many classes with the
-    same support."""
+    same support; the rows are only masked and restricted here, and
+    statistics that differ off the support share the relabelling."""
     if len(support) == 1:  # its loops are all there is to the statistic
         (x,) = support
         return ((u.rows[x] >> x & 1,), (v.rows[x] >> x & 1,)), (0,)
-    mask, restricted, spread, width = _restriction(support)
-    u_rows = [restricted[u.rows[x] & mask] for x in support]
-    v_rows = [restricted[v.rows[x] & mask] for x in support]
+    mask, restricted = _restriction(support)
+    return _relabel(
+        tuple([restricted[u.rows[x] & mask] for x in support]),
+        tuple([restricted[v.rows[x] & mask] for x in support]),
+    )
+
+
+# the classes bench workload: 281 keys, 1,109 hits in 1,390 calls
+@lru_cache(maxsize=4096)
+def _relabel(u_rows: tuple[int, ...], v_rows: tuple[int, ...]):
+    """The form and order of the rows of U and V over the letters 0..k-1.
+
+    A letter's signature is (U loop, V loop, U out-degree, U in-degree,
+    V out-degree, V in-degree), and the letters are sorted by it stably, so
+    ties keep their order: ``order[j]`` is the letter relabelled j, and the
+    form is the rows so relabelled.  Relabelling the alphabet moves letters
+    but not their signatures, so statistics that differ by a relabelling
+    mostly share their form."""
+    spread, width = _spread(len(u_rows))
     u_in = sum(map(spread, u_rows))
     v_in = sum(map(spread, v_rows))
     field = (1 << width) - 1
@@ -359,7 +382,7 @@ def _restrict(u: Relation, v: Relation, support: tuple[int, ...]):
         )
         for j, (u_row, v_row) in enumerate(zip(u_rows, v_rows))
     ]
-    order = tuple(sorted(range(len(support)), key=signatures.__getitem__))
+    order = tuple(sorted(range(len(u_rows)), key=signatures.__getitem__))
     relabelled = _relabelling(order)
     return (
         tuple([relabelled[u_rows[j]] for j in order]),
@@ -389,7 +412,7 @@ def distribution(stat: MajInvStatistic, c: Composition) -> QPolynomial:
             f"refusing the class {c.text()}: its walk would recurse {depth:,} "
             f"letters deep, past the cap of {WALK_DEPTH_CAP:,}"
         )
-    _check_steps((class_size(c),), f"the class {c.text()}")
+    check_budget((class_size(c),), WORD_BUDGET, "steps", f"the class {c.text()}")
     support = tuple(compress(range(c.size), c.counts))
     form, order = restricted_key(stat, support)
     return _walk(*form, tuple(counts[j] for j in order))
@@ -493,7 +516,7 @@ def support_groups(r: int, max_weight: int) -> tuple:
         raise ValueError("max_weight must be >= 0")
     _check_coefficients(max_weight, max_weight * (max_weight - 1) + 1)
     what = f"a certificate up to weight {max_weight:,} over [{r}]"
-    _check_steps(certificate_steps(r, max_weight), what)
+    check_budget(certificate_steps(r, max_weight), WORD_BUDGET, "steps", what)
     return _support_groups(r, max_weight)
 
 
@@ -573,7 +596,7 @@ def _support_q_multinomials(k: int, max_weight: int) -> tuple[QPolynomial, ...]:
     return tuple(_q_multinomial_cached(c) for c in full_support_counts(k, max_weight))
 
 
-# the classes bench workload: 39 keys, 4,131 hits in 4,170 calls
+# the classes bench workload: 39 keys, 1,071 hits in 1,110 calls
 @lru_cache(maxsize=4096)
 def _is_mahonian_on(form, max_weight: int) -> bool:
     """Whether the form is mahonian on every class of its full support up to
@@ -584,18 +607,29 @@ def _is_mahonian_on(form, max_weight: int) -> bool:
     return _form_distributions(form, max_weight) == expected
 
 
+# the classes bench workload: 74 keys, 204 hits in 278 calls
+@lru_cache(maxsize=4096)
+def _mahonian_verdict(u: Relation, v: Relation, max_weight: int) -> bool:
+    """is_mahonian_up_to of maj'_U + inv'_V, once it is known not to be
+    refused: the verdicts of its supports, up to the first that fails."""
+    return all(
+        _is_mahonian_on(_restrict(u, v, support)[0], max_weight)
+        for support, _ in _support_groups(u.size, max_weight)
+    )
+
+
 def is_mahonian_up_to(stat: MajInvStatistic, max_weight: int) -> bool:
     """Certify equidistribution with inv on every class of weight <= max_weight.
 
     A finite certificate only; the bound is part of the name on purpose.
-    Compared a support at a time, stopping at the first that fails.
+    Compared a support at a time, stopping at the first that fails, and
+    memoized on (U, V, max_weight); a request past the budgets of
+    support_groups is refused first, even when its verdict is memoized.
     """
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
-    return all(
-        _is_mahonian_on(restricted_key(stat, support)[0], max_weight)
-        for support, _ in support_groups(stat.size, max_weight)
-    )
+    support_groups(stat.size, max_weight)
+    return _mahonian_verdict(stat.maj_relation, stat.inv_relation, max_weight)
 
 
 def bipartitional_product_formula(c: Composition, b: Bipartition) -> QPolynomial:
@@ -631,8 +665,10 @@ def _clear_memos() -> None:
     for memo in (
         _q_multinomial_cached,
         _restriction,
+        _spread,
         _relabelling,
         _restrict,
+        _relabel,
         _walk,
         _support_groups,
         full_support_counts,
@@ -640,5 +676,6 @@ def _clear_memos() -> None:
         _gather,
         _support_q_multinomials,
         _is_mahonian_on,
+        _mahonian_verdict,
     ):
         memo.cache_clear()

@@ -277,15 +277,21 @@ def test_memo_matches_oracle_in_shuffled_orders():
         _assert_memo_matches_oracle_in_two_shuffled_orders(stats, 4, rng)
 
 
-def test_memo_entry_is_shared_exactly_when_the_support_agrees():
-    # on the support {1, 3} of c, a and b are U = {(1,3)}, V = {(3,1)};
-    # elsewhere they differ
-    c = Composition((2, 0, 1))
-    a = MajInvStatistic(Relation.from_pairs(3, [(1, 3)]), Relation.from_pairs(3, [(3, 1)]))
-    b = MajInvStatistic(
+# on the support {1, 3} of AGREEING_CLASS, both statistics are U = {(1,3)},
+# V = {(3,1)}; elsewhere they differ
+AGREEING_CLASS = Composition((2, 0, 1))
+AGREEING_ON_13 = (
+    MajInvStatistic(Relation.from_pairs(3, [(1, 3)]), Relation.from_pairs(3, [(3, 1)])),
+    MajInvStatistic(
         Relation.from_pairs(3, [(1, 3), (2, 1), (2, 2)]),
         Relation.from_pairs(3, [(3, 1), (1, 2), (3, 2)]),
-    )
+    ),
+)
+
+
+def test_memo_entry_is_shared_exactly_when_the_support_agrees():
+    c = AGREEING_CLASS
+    a, b = AGREEING_ON_13
     _clear_memo()
     assert distribution(a, c) == distribution(b, c) == _brute_force(a, c)
     assert (qseries._walk.cache_info().hits, qseries._walk.cache_info().currsize) == (1, 1)
@@ -304,6 +310,19 @@ def test_memo_entry_is_shared_exactly_when_the_support_agrees():
     for size, (stat, cls) in enumerate(others, start=2):
         assert distribution(stat, cls) == _brute_force(stat, cls)
         assert qseries._walk.cache_info().currsize == size
+
+
+def test_relabel_memo_entry_is_shared_when_the_restricted_rows_agree():
+    # the rows are restricted once per statistic, and the signature sort
+    # and relabelling of the same restricted rows once for both
+    a, b = AGREEING_ON_13
+    _clear_memo()
+    assert distribution(a, AGREEING_CLASS) == distribution(b, AGREEING_CLASS)
+    restrict, relabel = qseries._restrict.cache_info(), qseries._relabel.cache_info()
+    assert (restrict.currsize, restrict.hits) == (2, 0)
+    assert (relabel.currsize, relabel.hits) == (1, 1)
+    for stat in AGREEING_ON_13:
+        _assert_up_to_matches(stat, 4, _brute_force)
 
 
 def _relabelled(stat, perm):
@@ -533,6 +552,20 @@ def test_distribution_refuses_a_class_past_the_word_budget(monkeypatch):
     monkeypatch.setattr(qseries, "WORD_BUDGET", 11)
     with pytest.raises(ValueError, match="budget"):
         distribution(stat, c)
+
+
+def test_memoized_verdict_is_refused_past_the_word_budget(monkeypatch):
+    # the budget is checked before the verdict memo, so a memoized verdict
+    # is refused too; certificate_steps(2, 3) sum to 16
+    stat = inv_stat(2)
+    _clear_memo()
+    assert is_mahonian_up_to(stat, 3)
+    monkeypatch.setattr(qseries, "WORD_BUDGET", 16)
+    assert is_mahonian_up_to(stat, 3)
+    assert qseries._mahonian_verdict.cache_info()[:2] == (1, 1)  # hits, misses
+    monkeypatch.setattr(qseries, "WORD_BUDGET", 15)
+    with pytest.raises(ValueError, match="budget"):
+        is_mahonian_up_to(stat, 3)
 
 
 def test_certificates_refuse_requests_past_the_word_budget(monkeypatch):

@@ -277,10 +277,11 @@ def test_append_identity_small(kappa_extension_pairs):
         for u, s in kappa_extension_pairs(r):
             for n in range(5):
                 for w in words_of_length(r, n):
+                    inv_w = graphical_inv(s, w)
                     for x in range(1, r + 1):
                         _, rc, tc = letter_counts(u, s, w, x)
                         wx = Word(w.letters + (x,), r)
-                        assert graphical_inv(s, wx) == graphical_inv(s, w) + rc + tc
+                        assert graphical_inv(s, wx) == inv_w + rc + tc
 
 
 def test_append_identity_r3(kappa_extension_pairs):
@@ -288,10 +289,11 @@ def test_append_identity_r3(kappa_extension_pairs):
     words = [w for n in range(5) for w in words_of_length(3, n)]
     for u, s in pairs:
         for w in words:
+            inv_w = graphical_inv(s, w)
             for x in (1, 2, 3):
                 _, rc, tc = letter_counts(u, s, w, x)
                 wx = Word(w.letters + (x,), 3)
-                assert graphical_inv(s, wx) == graphical_inv(s, w) + rc + tc
+                assert graphical_inv(s, wx) == inv_w + rc + tc
 
 
 def test_append_identity_r3_longer_words_sampled(kappa_extension_pairs):
