@@ -637,15 +637,30 @@ def _restricted_bipartition(b: Bipartition, support: tuple[int, ...]) -> Biparti
     return Bipartition(blocks, betas)
 
 
-def _class_failures(stat: MajInvStatistic, max_weight: int, expected_of) -> list:
-    """(class, distribution, expected) for each class of
-    compositions_up_to(stat.size, max_weight), in that order, whose
-    distribution differs from its polynomial in qseries.by_class of
-    ``expected_of``: a certificate's violations, listed class by class."""
-    comps = compositions_up_to(stat.size, max_weight)
-    got = qseries.distributions_up_to(stat, max_weight)
-    expected = qseries.by_class(stat.size, max_weight, expected_of)
-    return [(c, g, e) for c, g, e in zip(comps, got, expected) if g != e]
+def _certificate_failures(
+    stat: MajInvStatistic, max_weight: int, groups, verdicts: dict, key_of, expected_of
+) -> list:
+    """(position, distribution, expected) for each class of
+    compositions_up_to(stat.size, max_weight), in that order, whose walked
+    polynomial differs from its expected one: a certificate's violations.
+
+    Compared a support of ``groups`` at a time: the walked tuple of the
+    restricted statistic against ``expected_of(key)``, key = ``key_of(support)``
+    fixing both tuples, the verdict memoized in ``verdicts`` on that key.  A
+    support whose verdict holds is passed over; the classes of any other are
+    compared one by one from the two tuples, and the failures sorted."""
+    failures = []
+    for support, positions in groups:
+        key = key_of(support)
+        if verdicts.get(key):
+            continue
+        got = qseries.support_distributions(
+            qseries.restricted_key(stat, support), max_weight
+        )
+        expected = expected_of(key)
+        verdicts[key] = got == expected
+        failures += [(i, g, e) for i, g, e in zip(positions, got, expected) if g != e]
+    return sorted(failures, key=lambda failure: failure[0])
 
 
 # the classes bench workload: 86 keys, 58 hits in 144 calls
@@ -673,10 +688,11 @@ def verify_product_formula(r: int, max_weight: int) -> Report:
     class distribution of qseries.distribution for every kappa-extensible
     relation on [r].
 
-    Compared a support at a time: the walked tuple of the restricted
-    statistic against _product_formulas of the restricted bipartition, the
-    verdict memoized on that pair of keys.  Only a relation with a failing
-    support is listed class by class."""
+    Compared a support at a time by _certificate_failures: the walked tuple
+    of the restricted statistic against _product_formulas of the restricted
+    bipartition, the verdict memoized on that pair of keys.  A relation's
+    failing classes are read from the same tuples and listed in the order of
+    compositions_up_to."""
     _check_size(r, RELATION_ENUM_CAP)
     _check_max_weight(max_weight)
     bounds = _kappa_bounds_table(r)
@@ -691,35 +707,27 @@ def verify_product_formula(r: int, max_weight: int) -> Report:
     comps = compositions_up_to(r, max_weight)
     report = Report()
     verdicts: dict = {}
-
-    def holds(stat, bip, support) -> bool:
-        keys = (
-            qseries.restricted_key(stat, support),
-            _restricted_bipartition(bip, support),
-        )
-        if keys not in verdicts:
-            verdicts[keys] = qseries.support_distributions(
-                keys[0], max_weight
-            ) == _product_formulas(keys[1], max_weight)
-        return verdicts[keys]
-
     for mask, need in zip(extensible.tolist(), bounds[extensible, 0].tolist()):
         u = Relation.from_mask(r, mask)
         closure = Relation.from_mask(r, need)  # need is U's kappa-closure
         bip = extract_bipartition(closure)
         stat = MajInvStatistic(u, closure - u)
         report.checked += len(comps)
-        if all(holds(stat, bip, support) for support, _ in groups):
-            continue
-        for c, lhs, rhs in _class_failures(
+        for i, lhs, rhs in _certificate_failures(
             stat,
             max_weight,
-            lambda s: _product_formulas(_restricted_bipartition(bip, s), max_weight),
+            groups,
+            verdicts,
+            lambda s: (
+                qseries.restricted_key(stat, s),
+                _restricted_bipartition(bip, s),
+            ),
+            lambda key: _product_formulas(key[1], max_weight),
         ):
             report.violations.append(
                 {
                     "u": u.to_json_dict(),
-                    "composition": c.text(),
+                    "composition": comps[i].text(),
                     "distribution": lhs.to_json_dict(),
                     "product_formula": rhs.to_json_dict(),
                 }
@@ -953,13 +961,14 @@ def verify_applications(max_weight: int) -> Report:
     sweep = [w for n in range(5) for w in words_of_length(r, n)]
     maj_ref = maj_stat(r)
     inv_ref = inv_stat(r)
+    maj_gmap, inv_gmap = ratio_gmap(r, 1), ratio_gmap(r, r)
     check(
         "ratio k=1 is maj",
-        all(stat_fg(ratio_gmap(r, 1), w) == maj_ref.evaluate(w) for w in sweep),
+        all(stat_fg(maj_gmap, w) == maj_ref.evaluate(w) for w in sweep),
     )
     check(
         "ratio k=r is inv",
-        all(stat_fg(ratio_gmap(r, r), w) == inv_ref.evaluate(w) for w in sweep),
+        all(stat_fg(inv_gmap, w) == inv_ref.evaluate(w) for w in sweep),
     )
 
     for marked in subsets:
@@ -981,38 +990,27 @@ def verify_applications(max_weight: int) -> Report:
     comps = compositions_up_to(r, max_weight)
     groups = qseries.support_groups(r, max_weight)
     verdicts: dict = {}
-
-    def holds(stat, a, b, support) -> bool:
-        key = (
-            len(support),
-            _restricted_letters(a, support),
-            _restricted_letters(b, support),
-        )
-        if key not in verdicts:
-            verdicts[key] = qseries.support_distributions(
-                qseries.restricted_key(stat, support), max_weight
-            ) == _subset_formulas(*key[:2], max_weight)
-        return verdicts[key]
-
     for a in subsets:
         for b in subsets:
-            stat = subset_stat(r, a, b)
             report.checked += len(comps)
-            if all(holds(stat, a, b, support) for support, _ in groups):
-                continue
-            for c, _, _ in _class_failures(
-                stat,
+            for i, _, _ in _certificate_failures(
+                subset_stat(r, a, b),
                 max_weight,
-                lambda s: _subset_formulas(
-                    len(s), _restricted_letters(a, s), max_weight
+                groups,
+                verdicts,
+                lambda s: (
+                    len(s),
+                    _restricted_letters(a, s),
+                    _restricted_letters(b, s),
                 ),
+                lambda key: _subset_formulas(*key[:2], max_weight),
             ):
                 report.violations.append(
                     {
                         "family": "subset-distribution",
                         "a": sorted(a),
                         "b": sorted(b),
-                        "composition": c.text(),
+                        "composition": comps[i].text(),
                     }
                 )
 

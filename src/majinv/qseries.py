@@ -28,17 +28,18 @@ letters are renamed, U, V and the counts together.  So the restriction
 relabels the support's letters 0..k-1 in the order of a signature that no
 renaming changes (loops and degrees; see ``_relabel``): the restricted key
 is that form, the restricted rows so relabelled, and the order, which
-support letter became which form letter.  It is two memos: ``_restrict``,
-on (U, V, support), only masks and restricts the rows, and ``_relabel``
-sorts and relabels them, memoized on the restricted rows, so statistics
-that differ off the support share one sort.  The walk is memoized on the
-form and the counts read in its labels, so statistics that differ only by
-a relabelling mostly share their walks; the form need not be canonical,
-since letters that tie on the signature only cost hits.  The traffic is the class certificates
-(macmahon, product-formula, applications), which score many statistics on
-thousands of small classes: statistics that agree on a support up to
-relabelling, and classes that differ only by letters they leave out, share
-one walk.
+support letter became which form letter.  ``_restrict`` masks the rows to
+the support and restricts them, and ``_relabel``, memoized on the
+restricted rows, sorts and relabels them, so statistics that agree on the
+support share one sort.  Both steps read one table, ``_restriction``, since
+relabelling rows by an order is restricting them to the letters listed in
+that order.  The walk is memoized on the form and the counts read in its
+labels, so statistics that differ only by a relabelling mostly share their
+walks; the form need not be canonical, since letters that tie on the
+signature only cost hits.  The traffic is the class certificates (macmahon,
+product-formula, applications), which score many statistics on thousands of
+small classes: statistics that agree on a support up to relabelling, and
+classes that differ only by letters they leave out, share one walk.
 
 Certificates ask for every class up to a weight W, and they are answered a
 support at a time.  The classes of ``compositions_up_to(r, W)`` are grouped
@@ -60,9 +61,12 @@ the restricted subset statistic, for the subset formula.
 ``is_mahonian_up_to`` stops at the first support that fails, and its whole
 verdict is memoized on (U, V, W), read only after the budget check of
 ``support_groups``, so a request past the budget is refused even when its
-verdict is known.  Only a statistic with a failing support is listed class
-by class, so a certificate's violations and their order are those of a
-class-by-class comparison.  The empty class scores 1 on both sides of every formula.
+verdict is known.  The product and subset certificates
+(``mahonian._certificate_failures``) list the failing classes from the same
+tuples, from the first failing support on, in the order of
+compositions_up_to, so their violations and the order of them are those of
+a class-by-class comparison.  The empty class scores 1 on both sides of
+every formula.
 ``distributions_up_to`` scatters the tuples back to one polynomial per
 class, and ``distribution`` stays the entry point for a single class.
 """
@@ -302,16 +306,18 @@ def q_multinomial(c: Composition) -> QPolynomial:
 
 
 @lru_cache(maxsize=256)
-def _restriction(support: tuple[int, ...]):
-    """Tables that restrict rows to ``support``: its bit mask, and for each
-    row masked to it the restricted row, bit j for the letter support[j].  A
+def _restriction(letters: tuple[int, ...]):
+    """Tables that restrict rows to ``letters``: their bit mask, and for each
+    row masked to it the restricted row, bit j for the letter letters[j].  A
     support of a walkable class has at most 9 letters (9! words), so the
-    tables stay small."""
+    tables stay small.  With ``letters`` an order of 0..k-1, the mask keeps
+    every row over k letters whole and the table relabels it, letter
+    letters[j] renamed j."""
     restricted = {
-        sum(1 << y for j, y in enumerate(support) if row >> j & 1): row
-        for row in range(1 << len(support))
+        sum(1 << y for j, y in enumerate(letters) if row >> j & 1): row
+        for row in range(1 << len(letters))
     }
-    return sum(1 << y for y in support), restricted
+    return sum(1 << y for y in letters), restricted
 
 
 @lru_cache(maxsize=16)
@@ -326,29 +332,12 @@ def _spread(k: int):
     return spread.__getitem__, width
 
 
-@lru_cache(maxsize=256)
-def _relabelling(order: tuple[int, ...]) -> list[int]:
-    """Each row over k = len(order) letters with letter order[j] renamed j."""
-    return [
-        sum(1 << j for j, x in enumerate(order) if row >> x & 1)
-        for row in range(1 << len(order))
-    ]
-
-
-# the classes bench workload: 2,065 keys, 283 hits in 2,348 calls
-@lru_cache(maxsize=4096)
 def _restrict(u: Relation, v: Relation, support: tuple[int, ...]):
     """The restricted key of (U, V) on ``support``: the form, the rows of U
     and V restricted to the letters of ``support`` and relabelled by
     _relabel, and that order, ``order[j]`` the place in ``support`` of the
-    letter relabelled j.
-
-    Cached, since certificates score one statistic on many classes with the
-    same support; the rows are only masked and restricted here, and
-    statistics that differ off the support share the relabelling."""
-    if len(support) == 1:  # its loops are all there is to the statistic
-        (x,) = support
-        return ((u.rows[x] >> x & 1,), (v.rows[x] >> x & 1,)), (0,)
+    letter relabelled j.  The rows are only masked and restricted here;
+    statistics that agree on the support share the memo of _relabel."""
     mask, restricted = _restriction(support)
     return _relabel(
         tuple([restricted[u.rows[x] & mask] for x in support]),
@@ -356,7 +345,7 @@ def _restrict(u: Relation, v: Relation, support: tuple[int, ...]):
     )
 
 
-# the classes bench workload: 281 keys, 1,109 hits in 1,390 calls
+# the classes bench workload: 283 keys, 2,209 hits in 2,492 calls
 @lru_cache(maxsize=4096)
 def _relabel(u_rows: tuple[int, ...], v_rows: tuple[int, ...]):
     """The form and order of the rows of U and V over the letters 0..k-1.
@@ -364,9 +353,9 @@ def _relabel(u_rows: tuple[int, ...], v_rows: tuple[int, ...]):
     A letter's signature is (U loop, V loop, U out-degree, U in-degree,
     V out-degree, V in-degree), and the letters are sorted by it stably, so
     ties keep their order: ``order[j]`` is the letter relabelled j, and the
-    form is the rows so relabelled.  Relabelling the alphabet moves letters
-    but not their signatures, so statistics that differ by a relabelling
-    mostly share their form."""
+    form is the rows so relabelled, by the restriction to ``order``.
+    Relabelling the alphabet moves letters but not their signatures, so
+    statistics that differ by a relabelling mostly share their form."""
     spread, width = _spread(len(u_rows))
     u_in = sum(map(spread, u_rows))
     v_in = sum(map(spread, v_rows))
@@ -383,7 +372,7 @@ def _relabel(u_rows: tuple[int, ...], v_rows: tuple[int, ...]):
         for j, (u_row, v_row) in enumerate(zip(u_rows, v_rows))
     ]
     order = tuple(sorted(range(len(u_rows)), key=signatures.__getitem__))
-    relabelled = _relabelling(order)
+    _, relabelled = _restriction(order)
     return (
         tuple([relabelled[u_rows[j]] for j in order]),
         tuple([relabelled[v_rows[j]] for j in order]),
@@ -565,30 +554,21 @@ def support_distributions(key, max_weight: int) -> tuple[QPolynomial, ...]:
     return tuple(map(polys.__getitem__, _gather(order, max_weight)))
 
 
-def by_class(r: int, max_weight: int, polys_of) -> list[QPolynomial]:
-    """One polynomial per class of compositions_up_to(r, max_weight),
-    refused as support_groups refuses: ``polys_of(support)`` gives those of
-    the classes on a support, in the order of full_support_counts, and the
-    empty class gets 1."""
-    groups = support_groups(r, max_weight)
-    out = [QPolynomial.one()] * len(compositions_up_to(r, max_weight))
-    for support, positions in groups:
-        for i, poly in zip(positions, polys_of(support)):
-            out[i] = poly
-    return out
-
-
 def distributions_up_to(stat: MajInvStatistic, max_weight: int) -> list[QPolynomial]:
     """distribution(stat, c) for every c in compositions_up_to(stat.size,
     max_weight), in that order, refused as support_groups refuses.
 
     The statistic is restricted once per support, and the polynomials of all
-    the classes with that support are read as one memoized tuple.
+    the classes with that support are read as one memoized tuple; the empty
+    class gets 1.
     """
-    def polys_of(support):
-        return support_distributions(restricted_key(stat, support), max_weight)
-
-    return by_class(stat.size, max_weight, polys_of)
+    groups = support_groups(stat.size, max_weight)
+    out = [QPolynomial.one()] * len(compositions_up_to(stat.size, max_weight))
+    for support, positions in groups:
+        polys = support_distributions(restricted_key(stat, support), max_weight)
+        for i, poly in zip(positions, polys):
+            out[i] = poly
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -666,8 +646,6 @@ def _clear_memos() -> None:
         _q_multinomial_cached,
         _restriction,
         _spread,
-        _relabelling,
-        _restrict,
         _relabel,
         _walk,
         _support_groups,

@@ -1,9 +1,37 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and test oracles shared by the test modules."""
+
+import itertools
 
 import pytest
 
-from majinv import is_kappa_extension
+from majinv import INF, GMap, is_kappa_extension
 from majinv.mahonian import enumerate_relations
+
+
+def kappa_extension_by_definition(r, u, s):
+    """S kappa-extends U: U lies inside S, and x U y with not(z U y) gives
+    x S z and not(z S x).  Relations are masks with bit (x-1)*r + (y-1)."""
+
+    def has(m, x, y):
+        return (m >> (x * r + y)) & 1
+
+    letters = range(r)
+    return u & ~s == 0 and all(
+        has(s, x, z) and not has(s, z, x)
+        for x in letters
+        for y in letters
+        for z in letters
+        if has(u, x, y) and not has(u, z, y)
+    )
+
+
+def all_gmaps(r):
+    """Every (f, g) map over [r]: f a permutation, g(b) a letter above b or
+    INF."""
+    choices = [list(range(b + 1, r + 1)) + [INF] for b in range(1, r + 1)]
+    for f in itertools.permutations(range(1, r + 1)):
+        for g in itertools.product(*choices):
+            yield GMap(tuple(f), tuple(g))
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import kappa_extension_by_definition
 from majinv import (
     Composition,
     MajInvStatistic,
@@ -378,23 +379,6 @@ def test_kappa_bounds_table_matches_predicate_r3():
         assert matrix[u.mask].tolist() == [is_kappa_extension(s, u) for s in rels]
 
 
-def _kappa_extension_by_letters(r, u, s):
-    """S kappa-extends U: U lies inside S, and x U y with not(z U y) gives
-    x S z and not(z S x).  Relations are masks with bit (x-1)*r + (y-1)."""
-
-    def has(m, x, y):
-        return (m >> (x * r + y)) & 1
-
-    letters = range(r)
-    return u & ~s == 0 and all(
-        has(s, x, z) and not has(s, z, x)
-        for x in letters
-        for y in letters
-        for z in letters
-        if has(u, x, y) and not has(u, z, y)
-    )
-
-
 def test_kappa_bounds_table_matches_letter_definition():
     from majinv.mahonian import _kappa_bounds_table
 
@@ -402,7 +386,7 @@ def test_kappa_bounds_table_matches_letter_definition():
     for r in (1, 2, 3):
         n = 1 << (r * r)
         assert _extension_matrix(r).tolist() == [
-            [_kappa_extension_by_letters(r, u, s) for s in range(n)] for u in range(n)
+            [kappa_extension_by_definition(r, u, s) for s in range(n)] for u in range(n)
         ]
     assert int(_extension_matrix(3).sum()) == 1701
     # one shared array per alphabet size, which no caller may write

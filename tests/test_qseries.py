@@ -313,16 +313,27 @@ def test_memo_entry_is_shared_exactly_when_the_support_agrees():
 
 
 def test_relabel_memo_entry_is_shared_when_the_restricted_rows_agree():
-    # the rows are restricted once per statistic, and the signature sort
-    # and relabelling of the same restricted rows once for both
+    # the signature sort and relabelling of the same restricted rows are
+    # done once for both statistics
     a, b = AGREEING_ON_13
     _clear_memo()
     assert distribution(a, AGREEING_CLASS) == distribution(b, AGREEING_CLASS)
-    restrict, relabel = qseries._restrict.cache_info(), qseries._relabel.cache_info()
-    assert (restrict.currsize, restrict.hits) == (2, 0)
+    relabel = qseries._relabel.cache_info()
     assert (relabel.currsize, relabel.hits) == (1, 1)
     for stat in AGREEING_ON_13:
         _assert_up_to_matches(stat, 4, _brute_force)
+
+
+def test_restriction_to_an_order_relabels_every_row():
+    # _relabel renames letters through the restriction table of its order
+    for k in range(1, 6):
+        for order in itertools.permutations(range(k)):
+            mask, restricted = qseries._restriction(order)
+            assert mask == (1 << k) - 1
+            assert [restricted[row] for row in range(1 << k)] == [
+                sum(1 << j for j, x in enumerate(order) if row >> x & 1)
+                for row in range(1 << k)
+            ]
 
 
 def _relabelled(stat, perm):

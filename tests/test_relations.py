@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import all_gmaps, kappa_extension_by_definition
 from majinv import (
     INF,
     Bipartition,
@@ -124,23 +125,14 @@ def test_is_kappa_extension_examples():
         is_kappa_extension(natural_order(2), natural_order(3))
 
 
-def _kappa_extension_by_definition(s, u):
-    letters = range(1, u.size + 1)
-    return u.issubset(s) and all(
-        s.contains(x, z) and not s.contains(z, x)
-        for x in letters
-        for y in letters
-        for z in letters
-        if u.contains(x, y) and not u.contains(z, y)
-    )
-
-
 def test_is_kappa_extension_matches_definition():
     for r in (1, 2):
         rels = list(enumerate_relations(r))
         for u in rels:
             for s in rels:
-                assert is_kappa_extension(s, u) == _kappa_extension_by_definition(s, u)
+                assert is_kappa_extension(s, u) == kappa_extension_by_definition(
+                    r, u.mask, s.mask
+                )
     # at r = 3, every U against its closure and against seeded supersets
     rng = random.Random(5)
     for u in enumerate_relations(3):
@@ -149,7 +141,9 @@ def test_is_kappa_extension_matches_definition():
             u | Relation.from_mask(3, rng.randrange(512)) for _ in range(8)
         ]
         for s in candidates:
-            assert is_kappa_extension(s, u) == _kappa_extension_by_definition(s, u)
+            assert is_kappa_extension(s, u) == kappa_extension_by_definition(
+                3, u.mask, s.mask
+            )
 
 
 def test_derived_relations_equal_and_hash_like_checked_ones():
@@ -404,13 +398,6 @@ def test_gmap_round_trip_exhaustive():
                 assert gmap_to_relation(relation_to_gmap(u, s)) == u
 
 
-def _all_gmaps(r):
-    choices = [list(range(b + 1, r + 1)) + [INF] for b in range(1, r + 1)]
-    for f in itertools.permutations(range(1, r + 1)):
-        for g in itertools.product(*choices):
-            yield GMap(tuple(f), tuple(g))
-
-
 def test_total_orders_match_the_total_order_filter():
     for r in (1, 2, 3):
         orders = [s for s in enumerate_relations(r) if is_total_order(s)]
@@ -436,7 +423,7 @@ def test_pair_builders_match_row_loops():
             expected = _rows_relation(r, lambda x, y: ranks[x - 1] > ranks[y - 1])
             assert order_from_ranks(ranks) == expected
     for r in range(1, 4):
-        for m in _all_gmaps(r):
+        for m in all_gmaps(r):
             expected = _rows_relation(r, lambda x, y: m.f[x - 1] >= m.g[m.f[y - 1] - 1])
             assert gmap_to_relation(m) == expected
         for blocks in _ordered_set_partitions(range(1, r + 1)):
@@ -452,7 +439,7 @@ def test_pair_builders_match_row_loops():
 
 def test_gmap_relation_always_extended_by_rank_order():
     for r in range(1, 5):
-        for m in _all_gmaps(r):
+        for m in all_gmaps(r):
             u = gmap_to_relation(m)
             s_f = order_from_ranks(m.f)
             assert is_total_order(s_f)

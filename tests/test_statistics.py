@@ -1,10 +1,10 @@
-import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import all_gmaps
 from majinv import (
     GMap,
     INF,
@@ -219,16 +219,9 @@ def test_marked_successor_extremes():
     assert everything.inv_relation == empty_relation(4)
 
 
-def _all_gmaps(r):
-    choices = [list(range(b + 1, r + 1)) + [INF] for b in range(1, r + 1)]
-    for f in itertools.permutations(range(1, r + 1)):
-        for g in itertools.product(*choices):
-            yield GMap(tuple(f), tuple(g))
-
-
 def test_stat_fg_matches_relation_pair_everywhere():
     for r in (1, 2, 3):
-        for m in _all_gmaps(r):
+        for m in all_gmaps(r):
             stat = gmap_stat(m)
             for n in range(5):
                 for w in words_of_length(r, n):
