@@ -18,29 +18,28 @@ a kappa-extension of U carries maj'_U + inv'_{S minus U} to inv'_S.  The
 natural order U = ">" recovers the classical Foata bijection sending maj to
 inv.
 
-One kernel serves every entry point.  ``_pivot_classes(u)`` tabulates, once
-per relation, the class of each letter against each x: ``cls = table[x]``
-has ``cls[y] = 1`` for y in R_x and 0 for y in L_x.  The rewrites
-``_gamma_letters`` and ``_gamma_inverse_letters`` read that tuple instead of
-shifting a bitmask, and work on lists; the tables sit in a small LRU cache,
-since a relation is typically applied to many words in a row.
+One kernel serves every entry point.  ``_pivot_column(u, x)`` gives the
+class of each letter against x: ``cls[y] = 1`` for y in R_x, 0 for y in L_x.
+The list rewrites ``_gamma_letters`` and ``_gamma_inverse_letters`` read it.
+``gamma``, ``gamma_inverse`` and ``x_factorization`` build only the column
+they read; ``_pivot_classes(u)``, the tuple of all the columns, serves the
+paths that apply many letters under one relation.
 
-``psi`` and ``psi_inverse`` also remember their results.  ``_memos(u)``
-holds, for the one most recent relation, the pivot-class table, a memo of
-psi images and a memo of psi_inverse preimages, each keyed by the argument's
-letters.  Keeping four relations raised the peak memory of the psi bench by
-5.5% and saved no time, so one is held, in a module slot that compares the
-relation by identity before equality: callers pass the same Relation object
-for many words in a row, and ``is`` settles that case without the call to
-the Python-level ``Relation.__hash__`` that an ``lru_cache`` lookup makes.
-An equal but distinct relation still finds the held memos; any other
-relation replaces them.  A call on w x first looks up w x; on a miss it
-takes the stored image of w and applies one gamma, and only when w is
-missing too does it run the whole chain, iteratively and without storing
-the intermediate images.  psi_inverse peels the last letter once and looks
-the rest up in its own memo; it never reads the psi memo, so a round trip
-checks two independent computations.  Each memo is emptied when the letters
-of its keys would pass MEMO_LETTERS.
+``psi`` and ``psi_inverse`` remember their results.  ``_memos(u)`` holds,
+for the one most recent relation, its pivot-class table, a memo of psi
+images and a memo of psi_inverse preimages, keyed by the argument's letters.
+Holding four relations raised the psi bench's peak memory by 5.5% and saved
+no time.  The slot compares the relation by identity before equality, since
+callers pass one Relation object for many words in a row; an equal relation
+keeps the held table and memos, any other builds a table and replaces them.
+
+Each direction has one path.  psi on w x looks up w x; on a miss it starts
+from the stored image of w, or from the empty word, and applies one gamma
+per remaining letter, storing no intermediate image.  psi_inverse peels the
+last letter, looks the rest up in its own memo, and on a miss peels letter
+by letter; it never reads the psi memo, so a round trip checks two
+independent computations.  ``_Memo.store`` empties a memo when its keys
+would pass MEMO_LETTERS letters, and skips a key longer than that.
 
 The gain is for prefix-closed per-word traffic, where the one-letter-shorter
 subproblem was asked for earlier with the same relation, such as all words
@@ -55,7 +54,6 @@ numpy arrays, and neither reads nor fills the memos.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from .relations import Relation
@@ -72,13 +70,16 @@ MEMO_LETTERS = 1 << 20
 IMAGE_CELL_BUDGET = 1 << 16  # letters per psi_images chunk; bounds its temporaries
 
 
-@lru_cache(maxsize=4)
+def _pivot_column(u: Relation, x: int) -> tuple[int, ...]:
+    """``cls[y] = 1 if y U x else 0``, indexed by letter (entry 0 pads)."""
+    bit = x - 1
+    return (0,) + tuple((row >> bit) & 1 for row in u.rows)
+
+
 def _pivot_classes(u: Relation) -> tuple[tuple[int, ...], ...]:
-    """``table[x][y] = 1 if y U x else 0``, both indexed by letter (entry 0
-    pads).  About 0.5 MB at 256 letters, hence the small cache."""
-    return ((),) + tuple(
-        (0,) + tuple((row >> x) & 1 for row in u.rows) for x in range(u.size)
-    )
+    """``table[x] = _pivot_column(u, x)`` for every letter x (entry 0 pads).
+    About 0.5 MB at 256 letters; only ``_memos`` keeps one, for its relation."""
+    return ((),) + tuple(_pivot_column(u, x) for x in range(1, u.size + 1))
 
 
 class _Memo:
@@ -91,12 +92,15 @@ class _Memo:
         self.letters = 0  # total length of the keys
 
     def store(self, key: tuple[int, ...], value: tuple[int, ...]) -> None:
+        """Add key, emptying the memo first when its keys would pass
+        MEMO_LETTERS letters.  A key longer than that is not stored, and
+        clears nothing."""
         n = len(key)
         if self.letters + n > MEMO_LETTERS:
-            self.results.clear()
-            self.letters = 0
             if n > MEMO_LETTERS:
                 return
+            self.results.clear()
+            self.letters = 0
         self.results[key] = value
         self.letters += n
 
@@ -108,8 +112,8 @@ _held: tuple = _NOTHING_HELD
 
 
 def _memos(u: Relation) -> tuple:
-    """The held (relation, table, psi memo, psi_inverse memo), swapped to u
-    first unless u is, or equals, the held relation."""
+    """The held (relation, table, psi memo, psi_inverse memo), swapped to u,
+    with a table built for it, unless u is, or equals, the held relation."""
     global _held
     held = _held
     if held[0] is not u and held[0] != u:
@@ -173,7 +177,7 @@ def x_factorization(
     if not w.letters:
         raise ValueError("the empty word has no factorization")
     check_alphabet(u.size, w, x)
-    cls = _pivot_classes(u)[x]
+    cls = _pivot_column(u, x)
     letters = w.letters
     pivot_class = cls[letters[-1]]
     case = CASE_PIVOTS_RELATED if pivot_class else CASE_PIVOTS_UNRELATED
@@ -189,74 +193,15 @@ def x_factorization(
 def gamma(u: Relation, x: int, w: Word) -> Word:
     """Move each pivot of the x-factorization in front of its block."""
     check_alphabet(u.size, w, x)
-    cls = _pivot_classes(u)[x]
+    cls = _pivot_column(u, x)
     return _trusted_word(tuple(_gamma_letters(cls, w.letters)), w.size)
 
 
 def gamma_inverse(u: Relation, x: int, w: Word) -> Word:
     """Inverse rewrite: move each pivot back behind its block."""
     check_alphabet(u.size, w, x)
-    cls = _pivot_classes(u)[x]
+    cls = _pivot_column(u, x)
     return _trusted_word(tuple(_gamma_inverse_letters(cls, w.letters)), w.size)
-
-
-def _psi_letters(u: Relation, ls: tuple[int, ...]) -> tuple[int, ...]:
-    """Letters of psi(u, ls), read from or added to the psi memo of u."""
-    if not ls:
-        return ls
-    _, table, memo, _ = _memos(u)
-    results = memo.results
-    img = results.get(ls)
-    if img is not None:
-        return img
-    prev = results.get(ls[:-1])
-    if prev is None:
-        prev = []
-        for x in ls[:-1]:
-            prev = _gamma_letters(table[x], prev)
-            prev.append(x)
-    x = ls[-1]
-    out = _gamma_letters(table[x], prev)
-    out.append(x)
-    img = tuple(out)
-    n = len(ls)
-    if memo.letters + n <= MEMO_LETTERS:  # the store, inline while in budget
-        results[ls] = img
-        memo.letters += n
-    else:
-        memo.store(ls, img)
-    return img
-
-
-def _psi_inverse_letters(u: Relation, ls: tuple[int, ...]) -> tuple[int, ...]:
-    """Letters of psi_inverse(u, ls), from or into the psi_inverse memo of u."""
-    if not ls:
-        return ls
-    _, table, _, memo = _memos(u)
-    results = memo.results
-    pre = results.get(ls)
-    if pre is not None:
-        return pre
-    x = ls[-1]
-    rest = tuple(_gamma_inverse_letters(table[x], ls[:-1]))
-    head = results.get(rest)
-    if head is None:
-        peeled: list[int] = []
-        stack = list(rest)
-        while stack:
-            y = stack.pop()
-            peeled.append(y)
-            stack = _gamma_inverse_letters(table[y], stack)
-        peeled.reverse()
-        head = tuple(peeled)
-    pre = head + (x,)
-    n = len(ls)
-    if memo.letters + n <= MEMO_LETTERS:  # the store, inline while in budget
-        results[ls] = pre
-        memo.letters += n
-    else:
-        memo.store(ls, pre)
-    return pre
 
 
 def psi_images(r: int, masks: Sequence[int], max_len: int):
@@ -323,18 +268,58 @@ def psi_images(r: int, masks: Sequence[int], max_len: int):
 
 def psi(u: Relation, w: Word) -> Word:
     """Apply the transformation to w; the image stays in the class of w."""
-    check_alphabet(u.size, w)
+    # per-word calls: only a word over a larger alphabet can fail the check,
+    # and an identical relation needs no _memos call; the two calls saved per
+    # word offset the _Memo.store call
+    if w.size > u.size:
+        check_alphabet(u.size, w)
+    letters = w.letters
+    if letters:
+        _, table, memo, _ = _held if _held[0] is u else _memos(u)
+        results = memo.results
+        image = results.get(letters)
+        if image is None:
+            # psi keeps length: a stored prefix image leaves one letter to apply
+            out = results.get(letters[:-1], ())
+            for x in letters[len(out) :]:
+                out = _gamma_letters(table[x], out)
+                out.append(x)
+            image = tuple(out)
+            memo.store(letters, image)
+        letters = image
     # the body of _trusted_word, inline: the image rearranges w's letters
     img = _new(Word)
-    _set_letters(img, _psi_letters(u, w.letters))
+    _set_letters(img, letters)
     _set_size(img, w.size)
     return img
 
 
 def psi_inverse(u: Relation, w: Word) -> Word:
     """Invert psi by peeling the last letter and undoing one gamma per step."""
-    check_alphabet(u.size, w)
+    if w.size > u.size:
+        check_alphabet(u.size, w)
+    letters = w.letters
+    if letters:
+        _, table, _, memo = _held if _held[0] is u else _memos(u)
+        results = memo.results
+        preimage = results.get(letters)
+        if preimage is None:
+            x = letters[-1]
+            rest = tuple(_gamma_inverse_letters(table[x], letters[:-1]))
+            head = results.get(rest)
+            if head is None:
+                peeled: list[int] = []
+                stack = list(rest)
+                while stack:
+                    y = stack.pop()
+                    peeled.append(y)
+                    stack = _gamma_inverse_letters(table[y], stack)
+                peeled.reverse()
+                head = tuple(peeled)
+            preimage = head + (x,)
+            memo.store(letters, preimage)
+        letters = preimage
     pre = _new(Word)
-    _set_letters(pre, _psi_inverse_letters(u, w.letters))
+    _set_letters(pre, letters)
     _set_size(pre, w.size)
     return pre

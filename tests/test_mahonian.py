@@ -35,8 +35,13 @@ from majinv.mahonian import (
     verify_psi,
     verify_theorem_majinv,
 )
-from majinv.transform import _psi_letters
-from majinv.words import compositions_of_weight, enumerate_class, words_of_length
+from majinv.transform import psi
+from majinv.words import (
+    _trusted_word,
+    compositions_of_weight,
+    enumerate_class,
+    words_of_length,
+)
 
 
 def test_enumerate_relations_counts():
@@ -872,6 +877,10 @@ def test_psi_tables_within_the_work_budget_stay_under_the_byte_budget(monkeypatc
         assert words * per_word < qseries.BYTE_BUDGET, r
         edges.append(max_len)
     assert edges == [2895, 15, 8, 5]
+
+
+def _psi_letters(u, ls):
+    return psi(u, _trusted_word(ls, u.size)).letters
 
 
 def _oracle_verify_psi(r, max_len, psi_letters=_psi_letters):

@@ -25,7 +25,7 @@ from majinv import (
 )
 from majinv import transform
 from majinv.mahonian import enumerate_relations
-from majinv.transform import MEMO_LETTERS, _clear_memos, _memos, _pivot_classes
+from majinv.transform import MEMO_LETTERS, _clear_memos, _memos
 
 GT3 = natural_order(3)
 
@@ -336,38 +336,47 @@ def test_psi_round_trip_on_256_letters():
     assert psi_inverse(order2, img) == long
 
 
-def test_equal_relations_share_one_pivot_class_entry():
+def test_held_table_is_built_once_per_relation_and_never_by_gamma(monkeypatch):
     a = Relation.from_pairs(3, [(3, 1), (2, 1)])
     b = Relation.from_mask(3, a.mask)
-    assert a == b and a is not b and hash(a) == hash(b)
-    assert a != Relation.from_pairs(3, [(3, 1)])
-    _pivot_classes.cache_clear()
-    assert _pivot_classes(a) is _pivot_classes(b)
-    info = _pivot_classes.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
-    # the memo holder: each swap builds one table, and an equal relation
-    # (the second lookup) shares the held entry without a swap
-    _clear_memos()
-    _pivot_classes.cache_clear()
-    held = _memos(a)
-    assert _memos(b) is held
-    info = _pivot_classes.cache_info()
-    assert (info.hits, info.misses) == (0, 1)
-    # a different relation evicts the entry; a fresh one replaces it
     c = Relation.from_pairs(3, [(3, 1)])
-    assert _memos(c) is not held and _memos(c)[0] is c
-    assert _memos(b) is not held and _memos(b)[0] is b
-    info = _pivot_classes.cache_info()
-    assert (info.hits, info.misses) == (1, 2)
+    assert a == b and a is not b and hash(a) == hash(b) and a != c
+    build = transform._pivot_classes
+    builds = []
 
+    def counted(u):
+        builds.append(u)
+        return build(u)
 
-def test_pivot_class_cache_stays_bounded():
-    maxsize = _pivot_classes.cache_info().maxsize
-    w = Word((1, 2, 1), 2)
-    for mask in range(maxsize + 5):
-        u = Relation.from_mask(2, mask)
-        assert psi_inverse(u, psi(u, w)) == w
-        assert _pivot_classes.cache_info().currsize <= maxsize
+    monkeypatch.setattr(transform, "_pivot_classes", counted)
+    _clear_memos()
+    held = _memos(a)
+    assert builds == [a] and held[1] == build(a)
+    # an equal but distinct relation reuses the held table and memos
+    assert _memos(b) is held and builds == [a]
+    w = Word((1, 3, 2), 3)
+    assert psi_inverse(b, psi(b, w)) == w and _memos(a) is held and builds == [a]
+    # a different relation rebuilds the table once
+    swapped = _memos(c)
+    assert swapped is not held and swapped[0] is c and swapped[1] == build(c)
+    assert _memos(c) is swapped and builds == [a, c]
+
+    # the public rewrites read one column each, never the whole table
+    def no_table(u):
+        raise AssertionError("the full pivot-class table was built")
+
+    monkeypatch.setattr(transform, "_pivot_classes", no_table)
+    rng = random.Random(256)
+    r = 256
+    u = Relation(r, tuple(rng.getrandbits(r) for _ in range(r)))
+    w = Word(tuple(rng.randint(1, r) for _ in range(60)), r)
+    for x in (1, 2, 129, r):
+        side = _sides(u, x)
+        assert gamma(u, x, w).letters == _oracle_gamma(side, w.letters)
+        assert gamma_inverse(u, x, w).letters == _oracle_gamma_inverse(side, w.letters)
+        case, parts = x_factorization(u, w, x)
+        assert case == ("i" if side[w.letters[-1]] else "ii")
+        assert tuple((b.letters, p) for b, p in parts) == _oracle_parts(side, w.letters)
 
 
 # --- the psi memo: hits, misses, evictions and its letter budget ---
@@ -460,6 +469,24 @@ def test_memo_letter_count_stays_within_budget(monkeypatch):
     _, _, psi_memo, _ = _memos(u)
     assert psi(u, Word(word[:9], 4)).letters == _oracle_psi(sides, word[:9])
     assert psi_memo.letters == 0 and psi_memo.results == {}
+
+
+def test_an_over_long_key_keeps_the_stored_keys(monkeypatch):
+    # a key longer than the whole budget is skipped before anything is cleared
+    monkeypatch.setattr(transform, "MEMO_LETTERS", 8)
+    u = natural_order(2)
+    sides = _all_sides(u)
+    short = [Word(ls, 2) for ls in ((1,), (2,), (1, 1), (2, 1))]
+    _clear_memos()
+    _, _, psi_memo, inverse_memo = _memos(u)
+    for w in short:
+        assert psi_inverse(u, psi(u, w)) == w
+    stored = (dict(psi_memo.results), dict(inverse_memo.results))
+    assert all(stored) and psi_memo.letters == inverse_memo.letters <= 8
+    long = Word((1, 2) * 5, 2)
+    assert psi(u, long).letters == _oracle_psi(sides, long.letters)
+    assert psi_inverse(u, long).letters == _oracle_psi_inverse(sides, long.letters)
+    assert (psi_memo.results, inverse_memo.results) == stored
 
 
 def _batched_images_match_psi(r, masks, max_len):
