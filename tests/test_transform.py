@@ -336,11 +336,7 @@ def test_psi_round_trip_on_256_letters():
     assert psi_inverse(order2, img) == long
 
 
-def test_held_table_is_built_once_per_relation_and_never_by_gamma(monkeypatch):
-    a = Relation.from_pairs(3, [(3, 1), (2, 1)])
-    b = Relation.from_mask(3, a.mask)
-    c = Relation.from_pairs(3, [(3, 1)])
-    assert a == b and a is not b and hash(a) == hash(b) and a != c
+def _count_table_builds(monkeypatch):
     build = transform._pivot_classes
     builds = []
 
@@ -349,6 +345,15 @@ def test_held_table_is_built_once_per_relation_and_never_by_gamma(monkeypatch):
         return build(u)
 
     monkeypatch.setattr(transform, "_pivot_classes", counted)
+    return build, builds
+
+
+def test_equal_relations_share_one_pivot_class_entry(monkeypatch):
+    a = Relation.from_pairs(3, [(3, 1), (2, 1)])
+    b = Relation.from_mask(3, a.mask)
+    c = Relation.from_pairs(3, [(3, 1)])
+    assert a == b and a is not b and hash(a) == hash(b) and a != c
+    build, builds = _count_table_builds(monkeypatch)
     _clear_memos()
     held = _memos(a)
     assert builds == [a] and held[1] == build(a)
@@ -361,6 +366,23 @@ def test_held_table_is_built_once_per_relation_and_never_by_gamma(monkeypatch):
     assert swapped is not held and swapped[0] is c and swapped[1] == build(c)
     assert _memos(c) is swapped and builds == [a, c]
 
+
+def test_pivot_class_cache_stays_bounded(monkeypatch):
+    # one table is held at a time: each swap to another relation builds one
+    # and drops the last, and a run of equal relations builds none
+    build, builds = _count_table_builds(monkeypatch)
+    _clear_memos()
+    w = Word((1, 2, 1), 2)
+    relations = [Relation.from_mask(2, mask) for mask in range(16)]
+    for k, u in enumerate(relations + relations):
+        assert psi_inverse(u, psi(u, w)) == w
+        assert psi_inverse(Relation.from_mask(2, u.mask), psi(u, w)) == w
+        held = transform._held
+        assert held[0] is u and held[1] == build(u)
+        assert len(builds) == k + 1 and builds[-1] is u
+
+
+def test_gamma_never_builds_the_pivot_class_table(monkeypatch):
     # the public rewrites read one column each, never the whole table
     def no_table(u):
         raise AssertionError("the full pivot-class table was built")
