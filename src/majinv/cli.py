@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import mahonian, qseries, relations, statistics, transform
@@ -213,6 +214,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     order = _load_relation(args.order)
+    count = math.factorial(order.size)
+    qseries.check_budget((count,), mahonian.STAT_ENUM_BUDGET, "statistics", "to list")
     entries = []
     for stat in mahonian.enumerate_mahonian_stats(order):
         m = relations.relation_to_gmap(stat.maj_relation, order)

@@ -30,10 +30,13 @@ every pair on every class, as the oracle of this one.
 
 The sweeps, the closure suite and verify_psi test kappa-extension on masks,
 against one cached array of relations.kappa_bounds per alphabet size, formed
-bitwise over all masks at once.  They list their words in one order, by
-length and then base-r code, as words_of_length and transform.psi_images do,
-and key a word's class by the place of the class's least word, its letters
-sorted.
+bitwise over all masks at once.
+
+This is the one module that uses numpy, and its array kernels (_all_words,
+_places, _bits, _cell_rows, _psi_images) own the word order and the image
+layout: words are listed by length and then base-r code, as words_of_length
+lists them, a word's class is keyed by the place of the class's least word,
+its letters sorted, and a relation's cells are read from its mask.
 
 verify_psi checks the transformation theorem once per U, not once per (U, S).
 The kappa-extensions of U form a cube: S = need | F for every F within the
@@ -87,7 +90,6 @@ from .statistics import (
     subset_stat,
     subset_stat_total,
 )
-from .transform import psi_images
 from .words import (
     Composition,
     class_size,
@@ -97,7 +99,7 @@ from .words import (
 
 RELATION_ENUM_CAP = 4  # single-relation sweeps walk 2**(r*r) masks
 PAIR_SWEEP_CAP = 3  # pair sweeps walk 4**(r*r) ordered pairs
-STAGE_CELL_BUDGET = 1 << 16  # word cells per sweep chunk; bounds the temporaries
+STAGE_CELL_BUDGET = 1 << 16  # word cells per sweep or psi chunk; bounds the temporaries
 WORD_BYTES = 96  # a listed Word takes this plus 8 bytes per letter, by tracemalloc
 # letters of the words a pair sweep tables, over all its sizes and weights.  A
 # sweep's time grows with them: theorem-majinv took 0.2-0.3 s at r = 1,
@@ -118,6 +120,9 @@ PSI_WORK_BUDGET = 1 << 24
 # 2.1-2.3 s (a 328 MB peak, mostly memoized coefficient lists).  (4, 6), 6.2 s,
 # (3, 9), 4.6 s, and (2, 17), 3.7-4.3 s, are refused.
 PRODUCT_FORMULA_BUDGET = 3 << 20
+# statistics `majinv enumerate` lists, r! for an order on [r].  On 2 vCPUs, one
+# process each: r = 7 (5,040) took 0.8-1.3 s; r = 8 (40,320), refused, 6.8-7.3 s.
+STAT_ENUM_BUDGET = 1 << 13
 
 
 @dataclass
@@ -241,6 +246,55 @@ def _places(words: np.ndarray, r: int, start: int) -> np.ndarray:
     n = words.shape[-1]
     codes = (words - 1.0) @ r ** np.arange(n - 1.0, -1.0, -1.0)
     return codes.astype(np.int64) + start
+
+
+def _psi_images(r: int, masks, max_len: int):
+    """psi of every word of length <= max_len over [r], under the relations
+    with the given masks, for a chunk of consecutive masks at a time.
+
+    Yields ``(chunk, images)``: ``chunk`` is the slice of ``masks`` served and
+    ``images[n]`` an int8 array of shape (len(chunk), r**n, n) whose row c,
+    for relation j, holds the letters of psi of row c of _all_words(r, n).
+
+    All words of one length go at once through psi(w x) = gamma_x(psi(w)) x,
+    with psi(w) the row c // r of the length before.  A letter y is a pivot
+    of gamma_x when its bit in column x of U, cell (y, x) of _bits, equals
+    that of the row's last letter (see transform).  The factorization of
+    psi(w) is a run of groups, each a block followed by the pivot that closes
+    it, and gamma_x rotates every group right by one, so that its pivot comes
+    first; this is the stable sort of the row on (pivots strictly before, 0
+    for a pivot or 1 for a block letter), done as one gather.  A row ends
+    with a pivot, so the rows are laid end to end and no group crosses two of
+    them.  Chunks stay under STAGE_CELL_BUDGET letters.
+    """
+    per_relation = sum(n * r**n for n in range(max_len + 1))
+    step = max(1, STAGE_CELL_BUDGET // max(1, per_relation))
+    appended = np.arange(r, dtype=np.int8)  # the appended letter less one, c % r
+    for lo in range(0, len(masks), step):
+        chunk = masks[lo : lo + step]
+        m = len(chunk)
+        # related[j, x - 1] has bit y - 1 set iff y U x: column x of relation j
+        cells = _bits(chunk, r).reshape(m, r, r) << np.arange(r)[:, None]
+        related = cells.sum(axis=1, dtype=np.min_scalar_type(-(1 << r)))
+        images = [np.zeros((m, 1, 0), dtype=np.int8)]
+        for n in range(1, max_len + 1):
+            k = n - 1
+            prev = np.repeat(images[-1], r, axis=1)  # psi(w) in row c of w x
+            x = np.tile(appended, r**k)
+            cls_x = (related[:, x, None] >> (prev - 1)) & 1
+            pivot = (cls_x == cls_x[..., -1:]).ravel()
+            at = np.arange(pivot.size)
+            # where each slot of the rotated row reads from: the pivot that
+            # closes its group when the slot opens one, else the slot before.
+            # A slot opens a group when the slot before is a pivot; a row's
+            # first slot follows the last of another row, always a pivot.
+            closing = np.minimum.accumulate(np.where(pivot, at, pivot.size)[::-1])[::-1]
+            source = np.where(np.roll(pivot, 1), closing, at - 1)
+            img = np.empty((m, r**n, n), dtype=np.int8)
+            img[..., :-1] = prev.ravel()[source].reshape(m, r**n, k)
+            img[..., -1] = x + 1
+            images.append(img)
+        yield chunk, images
 
 
 def _weight_tables(r: int, n: int):
@@ -789,7 +843,7 @@ def _psi_words(r: int, max_len: int):
 
 def _image_places(images, r: int) -> np.ndarray:
     """Row j: the place, in the listing by length and code, of the image of
-    each word there under the j-th relation of a psi_images chunk."""
+    each word there under the j-th relation of a _psi_images chunk."""
     starts = np.cumsum([0] + [img.shape[1] for img in images])
     return np.concatenate(
         [_places(img, r, start) for img, start in zip(images, starts)], axis=1
@@ -840,7 +894,7 @@ def verify_psi(r: int, max_len: int) -> Report:
     letter, and carries maj'_U + inv'_{S minus U} to inv'_S for every
     kappa-extension S of U.
 
-    The images come from ``transform.psi_images``, a chunk of U at a time.
+    The images come from ``_psi_images``, a chunk of U at a time.
     The identity is checked once per U over its whole cube of extensions;
     only a U that fails has its cube walked, to list each failing S with its
     shortlex-least failing word: shortest first, then in lex order.
@@ -862,7 +916,7 @@ def verify_psi(r: int, max_len: int) -> Report:
 
     report = Report()
     pair_count = 0
-    for chunk, images in psi_images(r, extensible, max_len):
+    for chunk, images in _psi_images(r, extensible, max_len):
         image_idx = _image_places(images, r)
         bijection = (key[image_idx] == key).all(axis=1) & (
             np.sort(image_idx, axis=1) == np.arange(nwords)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -175,15 +176,15 @@ def words_of_length(r: int, n: int) -> Iterator[Word]:
 
 
 def compositions_of_weight(r: int, n: int) -> Iterator[Composition]:
-    """All compositions of n into r non-negative parts, in lex order."""
+    """All compositions of n into r non-negative parts, in lex order: their
+    r - 1 partial sums are the non-decreasing tuples over 0..n, in lex order."""
     if r < 1:
         raise ValueError("need at least one part")
-    if r == 1:
+    if r == 1:  # one class, where the tuples would copy n + 1 sums for it
         yield Composition((n,))
         return
-    for first in range(n + 1):
-        for rest in compositions_of_weight(r - 1, n - first):
-            yield Composition((first,) + rest.counts)
+    for sums in itertools.combinations_with_replacement(range(n + 1), r - 1):
+        yield Composition(tuple(map(operator.sub, sums + (n,), (0,) + sums)))
 
 
 @lru_cache(maxsize=16)

@@ -627,6 +627,20 @@ def test_enumerate(capsys, relation_files):
     assert code == 1 and "total order" in err
 
 
+def test_enumerate_refuses_past_its_budget_before_printing(capsys, tmp_path):
+    # 7! = 5,040 statistics are listed and 8! = 40,320 refused
+    files = {}
+    for r in (7, 8):
+        files[r] = tmp_path / f"gt{r}.json"
+        files[r].write_text(json.dumps(natural_order(r).to_json_dict()))
+    code, out, err = run(capsys, "enumerate", "--order", str(files[7]))
+    assert code == 0 and err == "" and len(out.splitlines()) == 5040
+    code, out, err = run(capsys, "enumerate", "--order", str(files[8]))
+    assert code == 1 and out == ""
+    assert err.startswith("error: refusing to list") and "40,320" in err
+    assert "Traceback" not in err
+
+
 def test_verify_distribution_suites_refuse_vacuous_weights(capsys):
     for suite in ("macmahon", "product-formula", "applications"):
         for weight in ("-1", "0", "1"):

@@ -978,8 +978,8 @@ def test_psi_verifier_matches_the_per_extension_oracle(monkeypatch):
 
 def test_psi_verifier_lists_a_wrong_psi_as_the_oracle_does(monkeypatch):
     from majinv import mahonian
-    from majinv.transform import psi_images
 
+    psi_images = mahonian._psi_images
     natural = natural_order(3)
     expected = _oracle_verify_psi(3, 5, lambda u, ls: _psi_letters(natural, ls))
     assert len(expected.violations) == 1595
@@ -990,7 +990,7 @@ def test_psi_verifier_lists_a_wrong_psi_as_the_oracle_does(monkeypatch):
             yield masks[lo : lo + len(chunk)], images
             lo += len(chunk)
 
-    monkeypatch.setattr(mahonian, "psi_images", natural_images)
+    monkeypatch.setattr(mahonian, "_psi_images", natural_images)
     walked = _walked_cubes(monkeypatch)
     assert _same_reports(verify_psi(3, 5), expected)
     # exactly the U that fail are walked, each once
@@ -1017,8 +1017,8 @@ def test_psi_verifier_lists_moved_letters_and_lost_bijections_as_the_oracle_does
 ):
     # both move the last letter, and sorting every word is no bijection
     from majinv import mahonian
-    from majinv.transform import psi_images
 
+    psi_images = mahonian._psi_images
     mutants = {
         "reversed": (
             lambda u, ls: _psi_letters(u, ls)[::-1],
@@ -1036,7 +1036,7 @@ def test_psi_verifier_lists_moved_letters_and_lost_bijections_as_the_oracle_does
         assert ("not a class bijection" in properties) == (name == "sorted")
         monkeypatch.setattr(
             mahonian,
-            "psi_images",
+            "_psi_images",
             lambda r, masks, max_len: (
                 (chunk, batched(images)) for chunk, images in psi_images(r, masks, max_len)
             ),

@@ -41,6 +41,39 @@ def test_modules_use_every_import():
     assert unused == {}
 
 
+def _imports_numpy(source: str) -> list[int]:
+    """The lines that import numpy or a submodule of it, at any depth."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_numpy_import_check_sees_each_form():
+    source = (
+        "import numpy as np\n"
+        "def f():\n    import numpy.linalg\n"
+        "def g():\n    from numpy import arange\n"
+        "import numpyish\nfrom . import numpy\n"
+    )
+    assert _imports_numpy(source) == [1, 3, 5]
+
+
+def test_only_mahonian_imports_numpy():
+    # mahonian owns the array kernels; the other modules stay pure Python
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    importers = [p.stem for p in modules if _imports_numpy(p.read_text(encoding="utf-8"))]
+    assert importers == ["mahonian"]
+
+
 # private functions that only the tests call, as module.name in module order
 TEST_HOOKS = ("qseries._clear_memos", "transform._clear_memos")
 

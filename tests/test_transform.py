@@ -23,7 +23,7 @@ from majinv import (
     words_of_length,
     x_factorization,
 )
-from majinv import transform
+from majinv import mahonian, transform
 from majinv.mahonian import enumerate_relations
 from majinv.transform import MEMO_LETTERS, _clear_memos, _memos
 
@@ -512,11 +512,11 @@ def test_an_over_long_key_keeps_the_stored_keys(monkeypatch):
 
 
 def _batched_images_match_psi(r, masks, max_len):
-    """Whether psi_images gives psi of every word up to max_len, row c of
+    """Whether _psi_images gives psi of every word up to max_len, row c of
     length n being the word with base-r digits c, for every mask."""
     words = [list(words_of_length(r, n)) for n in range(max_len + 1)]
     served = []
-    for chunk, images in transform.psi_images(r, masks, max_len):
+    for chunk, images in mahonian._psi_images(r, masks, max_len):
         served.extend(chunk)
         assert [img.shape for img in images] == [
             (len(chunk), r**n, n) for n in range(max_len + 1)
@@ -537,6 +537,21 @@ def test_batched_psi_matches_psi_on_every_relation_r3():
 
 def test_batched_psi_matches_psi_on_sampled_relations_r4(monkeypatch):
     # a small chunk budget, so that the sample spans several chunks
-    monkeypatch.setattr(transform, "IMAGE_CELL_BUDGET", 20_000)
+    monkeypatch.setattr(mahonian, "STAGE_CELL_BUDGET", 20_000)
     masks = random.Random(4).sample(range(1 << 16), 64)
     assert _batched_images_match_psi(4, masks, 5)
+
+
+def test_batched_psi_chunks_hold_as_many_masks_as_the_budget_allows(monkeypatch):
+    # a chunk's images stay within STAGE_CELL_BUDGET letters, or hold one
+    # mask; every chunk but the last would pass the budget with one more
+    monkeypatch.setattr(mahonian, "STAGE_CELL_BUDGET", 20_000)
+    for r, max_len, count in ((3, 6, 40), (4, 5, 20), (4, 7, 3)):
+        sizes, letters = [], set()
+        for chunk, images in mahonian._psi_images(r, range(count), max_len):
+            sizes.append(len(chunk))
+            letters.add(sum(img.size for img in images) // len(chunk))
+        (per_mask,) = letters
+        assert sum(sizes) == count
+        assert all(size == 1 or size * per_mask <= 20_000 for size in sizes)
+        assert all((size + 1) * per_mask > 20_000 for size in sizes[:-1]), (r, max_len)

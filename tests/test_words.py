@@ -98,6 +98,42 @@ def test_compositions_of_weight_counts():
     ]
 
 
+def _recursive_compositions(r, n):
+    """The compositions of n into r parts by the first part, then the rest:
+    the definition of their lex order."""
+    if r == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _recursive_compositions(r - 1, n - first):
+            yield (first,) + rest
+
+
+def test_compositions_of_weight_follow_the_recursive_order():
+    for r in range(1, 6):
+        for n in range(7):
+            listed = [c.counts for c in compositions_of_weight(r, n)]
+            assert listed == list(_recursive_compositions(r, n)), (r, n)
+            assert len(listed) == math.comb(n + r - 1, r - 1)
+
+
+def test_compositions_of_weight_need_no_stack_for_many_letters():
+    # one level per letter would pass the interpreter's recursion limit
+    listed = [c.counts for c in compositions_of_weight(1500, 1)]
+    assert len(listed) == 1500
+    assert listed[0] == (0,) * 1499 + (1,) and listed[-1] == (1,) + (0,) * 1499
+
+
+def test_compositions_of_weight_build_one_composition_per_class(monkeypatch):
+    built = []
+    check = Composition.__post_init__
+    monkeypatch.setattr(
+        Composition, "__post_init__", lambda c: built.append(c.counts) or check(c)
+    )
+    listed = [c.counts for c in compositions_of_weight(6, 4)]
+    assert built == listed and len(listed) == math.comb(9, 5)
+
+
 def test_compositions_up_to_concatenates_the_weights():
     for r in range(1, 5):
         for w in range(7):
