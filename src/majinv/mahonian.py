@@ -114,12 +114,16 @@ SWEEP_LETTER_BUDGET = 3 << 18
 # each); r = 2, max_len 15 0.5 s; r = 3, max_len 8 0.4-0.5 s; r = 4,
 # max_len 5 0.8-0.9 s.
 PSI_WORK_BUDGET = 1 << 24
-# verify_product_formula's steps (see _product_formula_steps).  At the edges,
+# verify_product_formula's steps (_suite_steps, per relation).  At the edges,
 # on 2 vCPUs, one cold run per process over three processes: (r, max_weight)
 # = (4, 5) took 1.8-2.2 s, (3, 8) 1.4-1.5 s, (2, 16) 2.1-2.4 s and (1, 422)
 # 2.1-2.3 s (a 328 MB peak, mostly memoized coefficient lists).  (4, 6), 6.2 s,
 # (3, 9), 4.6 s, and (2, 17), 3.7-4.3 s, are refused.
 PRODUCT_FORMULA_BUDGET = 3 << 20
+# verify_applications' steps (_suite_steps, per certificate; 532 over [4]).  On
+# 2 vCPUs, one run each: max_weight 7 took 0.9 s; 8 (3.6 s) and 9 (15 s) are
+# refused.
+APPLICATIONS_BUDGET = 1 << 24
 # statistics `majinv enumerate` lists, r! for an order on [r].  On 2 vCPUs, one
 # process each: r = 7 (5,040) took 0.8-1.3 s; r = 8 (40,320), refused, 6.8-7.3 s.
 STAT_ENUM_BUDGET = 1 << 13
@@ -186,7 +190,8 @@ def enumerate_mahonian_stats(s: Relation):
 
 def verify_equidistribution(u: Relation, s: Relation, max_weight: int) -> bool:
     """True iff maj'_U + inv'_{S minus U} matches inv'_S on every class of
-    weight <= max_weight.  Plain reference implementation."""
+    weight <= max_weight: the two statistics' distributions_up_to, read
+    from the memoized walk of qseries, compared class by class."""
     if u.size != s.size:
         raise ValueError("alphabet size mismatch")
     stat = MajInvStatistic(u, s - u)
@@ -691,32 +696,6 @@ def _restricted_bipartition(b: Bipartition, support: tuple[int, ...]) -> Biparti
     return Bipartition(blocks, betas)
 
 
-def _certificate_failures(
-    stat: MajInvStatistic, max_weight: int, groups, verdicts: dict, key_of, expected_of
-) -> list:
-    """(position, distribution, expected) for each class of
-    compositions_up_to(stat.size, max_weight), in that order, whose walked
-    polynomial differs from its expected one: a certificate's violations.
-
-    Compared a support of ``groups`` at a time: the walked tuple of the
-    restricted statistic against ``expected_of(key)``, key = ``key_of(support)``
-    fixing both tuples, the verdict memoized in ``verdicts`` on that key.  A
-    support whose verdict holds is passed over; the classes of any other are
-    compared one by one from the two tuples, and the failures sorted."""
-    failures = []
-    for support, positions in groups:
-        key = key_of(support)
-        if verdicts.get(key):
-            continue
-        got = qseries.support_distributions(
-            qseries.restricted_key(stat, support), max_weight
-        )
-        expected = expected_of(key)
-        verdicts[key] = got == expected
-        failures += [(i, g, e) for i, g, e in zip(positions, got, expected) if g != e]
-    return sorted(failures, key=lambda failure: failure[0])
-
-
 # the classes bench workload: 86 keys, 58 hits in 144 calls
 @functools.lru_cache(maxsize=1024)
 def _product_formulas(b: Bipartition, max_weight: int) -> tuple:
@@ -730,10 +709,10 @@ def _product_formulas(b: Bipartition, max_weight: int) -> tuple:
     )
 
 
-def _product_formula_steps(r: int, max_weight: int, relations: int):
-    """verify_product_formula's steps per weight n <= max_weight: the steps
-    of qseries.certificate_steps once per relation."""
-    return (relations * steps for steps in qseries.certificate_steps(r, max_weight))
+def _suite_steps(r: int, max_weight: int, certificates: int):
+    """The steps of a suite of certificates over [r] per weight n <=
+    max_weight: those of qseries.certificate_steps once per certificate."""
+    return (certificates * steps for steps in qseries.certificate_steps(r, max_weight))
 
 
 @_stopwatch
@@ -742,23 +721,22 @@ def verify_product_formula(r: int, max_weight: int) -> Report:
     class distribution of qseries.distribution for every kappa-extensible
     relation on [r].
 
-    Compared a support at a time by _certificate_failures: the walked tuple
-    of the restricted statistic against _product_formulas of the restricted
-    bipartition, the verdict memoized on that pair of keys.  A relation's
-    failing classes are read from the same tuples and listed in the order of
-    compositions_up_to."""
+    Compared a support at a time by qseries.certificate_failures: the
+    walked tuple of the restricted statistic against _product_formulas of
+    the restricted bipartition, the verdict memoized on that pair of keys.
+    A relation's failing classes are read from the same tuples and listed in
+    the order of compositions_up_to."""
     _check_size(r, RELATION_ENUM_CAP)
     _check_max_weight(max_weight)
     bounds = _kappa_bounds_table(r)
     extensible = np.flatnonzero(bounds[:, 0] & bounds[:, 1] == 0)
     qseries.check_budget(
-        _product_formula_steps(r, max_weight, len(extensible)),
+        _suite_steps(r, max_weight, len(extensible)),
         PRODUCT_FORMULA_BUDGET,
         "steps",
         "to check the product formula",
     )
-    groups = qseries.support_groups(r, max_weight)
-    comps = compositions_up_to(r, max_weight)
+    qseries.supports(r, max_weight)  # each certificate's own budget, checked once
     report = Report()
     verdicts: dict = {}
     for mask, need in zip(extensible.tolist(), bounds[extensible, 0].tolist()):
@@ -766,11 +744,10 @@ def verify_product_formula(r: int, max_weight: int) -> Report:
         closure = Relation.from_mask(r, need)  # need is U's kappa-closure
         bip = extract_bipartition(closure)
         stat = MajInvStatistic(u, closure - u)
-        report.checked += len(comps)
-        for i, lhs, rhs in _certificate_failures(
+        report.checked += math.comb(max_weight + r, r)
+        for c, lhs, rhs in qseries.certificate_failures(
             stat,
             max_weight,
-            groups,
             verdicts,
             lambda s: (
                 qseries.restricted_key(stat, s),
@@ -781,7 +758,7 @@ def verify_product_formula(r: int, max_weight: int) -> Report:
             report.violations.append(
                 {
                     "u": u.to_json_dict(),
-                    "composition": comps[i].text(),
+                    "composition": c.text(),
                     "distribution": lhs.to_json_dict(),
                     "product_formula": rhs.to_json_dict(),
                 }
@@ -800,14 +777,14 @@ def verify_macmahon(r: int, max_weight: int) -> Report:
     _check_max_weight(max_weight)
     inv = inv_stat(r)
     maj = maj_stat(r)
-    comps = compositions_up_to(r, max_weight)
-    report = Report(checked=len(comps), witnesses={"max_weight": max_weight})
+    checked = math.comb(max_weight + r, r)  # the classes, listed only on a failure
+    report = Report(checked=checked, witnesses={"max_weight": max_weight})
     if qseries.is_mahonian_up_to(inv, max_weight) and qseries.is_mahonian_up_to(
         maj, max_weight
     ):
         return report
     for c, d_inv, d_maj in zip(
-        comps,
+        compositions_up_to(r, max_weight),
         qseries.distributions_up_to(inv, max_weight),
         qseries.distributions_up_to(maj, max_weight),
     ):
@@ -988,7 +965,8 @@ def verify_applications(max_weight: int) -> Report:
     """Check the named statistic families at r = 4 (and the parity statistic
     at r = 3 and 4): mahonian certificates up to max_weight, the closed
     distribution of the subset statistic, and the permutation-class formula
-    for the even/odd instance."""
+    for the even/odd instance.  Refused before any certificate runs when the
+    steps of all 532 pass APPLICATIONS_BUDGET."""
     _check_max_weight(max_weight)
     r = 4
     report = Report()
@@ -998,6 +976,14 @@ def verify_applications(max_weight: int) -> Report:
         for size in range(r + 1)
         for c in itertools.combinations(letters, size)
     ]
+
+    qseries.supports(r, max_weight)  # each certificate's own budget comes first
+    # 4 ratio certificates, a marked-successor one per subset, and a
+    # subset-total and a subset-distribution one per pair of subsets
+    steps = _suite_steps(r, max_weight, 4 + len(subsets) + 2 * len(subsets) ** 2)
+    qseries.check_budget(
+        steps, APPLICATIONS_BUDGET, "steps", "to check the applications"
+    )
 
     def check(name: str, condition: bool, details=dict) -> None:
         # details() builds the rest of the violation, only when one is found
@@ -1041,16 +1027,13 @@ def verify_applications(max_weight: int) -> Report:
                 lambda: {"a": sorted(a), "b": sorted(b)},
             )
 
-    comps = compositions_up_to(r, max_weight)
-    groups = qseries.support_groups(r, max_weight)
     verdicts: dict = {}
     for a in subsets:
         for b in subsets:
-            report.checked += len(comps)
-            for i, _, _ in _certificate_failures(
+            report.checked += math.comb(max_weight + r, r)
+            for c, _, _ in qseries.certificate_failures(
                 subset_stat(r, a, b),
                 max_weight,
-                groups,
                 verdicts,
                 lambda s: (
                     len(s),
@@ -1064,7 +1047,7 @@ def verify_applications(max_weight: int) -> Report:
                         "family": "subset-distribution",
                         "a": sorted(a),
                         "b": sorted(b),
-                        "composition": comps[i].text(),
+                        "composition": c.text(),
                     }
                 )
 

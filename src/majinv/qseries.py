@@ -42,8 +42,10 @@ small classes: statistics that agree on a support up to relabelling, and
 classes that differ only by letters they leave out, share one walk.
 
 Certificates ask for every class up to a weight W, and they are answered a
-support at a time.  The classes of ``compositions_up_to(r, W)`` are grouped
-by support once per (r, W) (``support_groups``); the statistic is
+support at a time, with no list of the classes.  ``supports(r, W)`` checks
+the budgets and gives the letter sets of 1..min(r, W) letters; a class is
+named by its support and its counts there, placed on [r], and classes run
+by (weight, counts), the order of ``compositions_up_to``.  The statistic is
 restricted once per support, and the polynomials of all the classes on that
 support are one memoized tuple per (form, W), in the order of
 ``full_support_counts(k, W)``, k the support's size.  A key reads its own
@@ -55,20 +57,18 @@ k for the q-multinomials, the bipartition restricted to the support and
 relabelled in support order for the product formula, the restricted A for
 the subset formula.  The verdict is memoized where the same keys recur: on
 (form, W) in ``is_mahonian_up_to``, since the q-multinomials do not change
-when the counts are permuted, on (restricted key, restricted bipartition)
-for the product formula, and on (k, restricted A, restricted B), which fix
-the restricted subset statistic, for the subset formula.
-``is_mahonian_up_to`` stops at the first support that fails, and its whole
-verdict is memoized on (U, V, W), read only after the budget check of
-``support_groups``, so a request past the budget is refused even when its
-verdict is known.  The product and subset certificates
-(``mahonian._certificate_failures``) list the failing classes from the same
-tuples, from the first failing support on, in the order of
-compositions_up_to, so their violations and the order of them are those of
-a class-by-class comparison.  The empty class scores 1 on both sides of
-every formula.
-``distributions_up_to`` scatters the tuples back to one polynomial per
-class, and ``distribution`` stays the entry point for a single class.
+when the counts are permuted, and in ``certificate_failures`` on a key the
+caller gives: (restricted key, restricted bipartition) for the product
+formula, (k, restricted A, restricted B), which fix the restricted subset
+statistic, for the subset formula.  ``is_mahonian_up_to`` stops at the
+first support that fails, and its whole verdict is memoized on (U, V, W),
+read only after the budget check of ``supports``, so a request past the
+budget is refused even when its verdict is known.
+``certificate_failures`` places the failing classes of every failing
+support and sorts them, so a certificate's violations and the order of
+them are those of a class-by-class comparison.  The empty class scores 1
+on both sides of every formula.  ``distributions_up_to`` lists the classes
+and reads each from ``distribution``, the entry point for a single class.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate, chain, combinations, compress
 from typing import Iterable
 
 from .statistics import MajInvStatistic
@@ -312,11 +312,10 @@ def _restriction(letters: tuple[int, ...]):
     support of a walkable class has at most 9 letters (9! words), so the
     tables stay small.  With ``letters`` an order of 0..k-1, the mask keeps
     every row over k letters whole and the table relabels it, letter
-    letters[j] renamed j."""
-    restricted = {
-        sum(1 << y for j, y in enumerate(letters) if row >> j & 1): row
-        for row in range(1 << len(letters))
-    }
+    letters[j] renamed j.  Each letter doubles the table as it is built."""
+    restricted = {0: 0}
+    for j, y in enumerate(letters):
+        restricted.update([(m | 1 << y, row | 1 << j) for m, row in restricted.items()])
     return sum(1 << y for y in letters), restricted
 
 
@@ -478,21 +477,11 @@ def certificate_steps(r: int, max_weight: int):
         yield r**n + slots // 16
 
 
-@lru_cache(maxsize=16)
-def _support_groups(r: int, max_weight: int) -> tuple:
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, c in enumerate(compositions_up_to(r, max_weight)):
-        if c.weight:
-            groups.setdefault(tuple(compress(range(r), c.counts)), []).append(i)
-    return tuple((support, tuple(positions)) for support, positions in groups.items())
-
-
-def support_groups(r: int, max_weight: int) -> tuple:
-    """The classes of compositions_up_to(r, max_weight) with a non-empty
-    support, grouped by it: (support, positions) pairs, the support as
-    0-based letters.  Within a support the classes run by weight, then in lex
-    order of their non-zero counts, which is the order of
-    full_support_counts(len(support), max_weight).
+def supports(r: int, max_weight: int) -> tuple[tuple[int, ...], ...]:
+    """The supports of the non-empty classes over [r] of weight <= max_weight:
+    the sets of 1..min(r, max_weight) letters, 0-based, smallest sets first.
+    The classes on a support run by weight, then in lex order of their
+    counts, the order of full_support_counts(len(support), max_weight).
 
     A certificate over these classes is refused before anything is walked:
     max_weight past BYTE_BUDGET as distribution refuses it, and a request of
@@ -506,7 +495,21 @@ def support_groups(r: int, max_weight: int) -> tuple:
     _check_coefficients(max_weight, max_weight * (max_weight - 1) + 1)
     what = f"a certificate up to weight {max_weight:,} over [{r}]"
     check_budget(certificate_steps(r, max_weight), WORD_BUDGET, "steps", what)
-    return _support_groups(r, max_weight)
+    return _letter_sets(r, max_weight)
+
+
+# memoized: a new iterator per certificate made the classes suites 4-9% slower
+@lru_cache(maxsize=16)
+def _letter_sets(r: int, max_weight: int) -> tuple[tuple[int, ...], ...]:
+    """supports(r, max_weight) without its budget checks, which the caller made."""
+    sizes = range(1, min(r, max_weight) + 1)
+    return tuple(chain.from_iterable(combinations(range(r), k) for k in sizes))
+
+
+def _placed(r: int, support: tuple[int, ...], counts: tuple[int, ...]) -> Composition:
+    """The class over [r] with ``counts`` on the letters of ``support``."""
+    at = dict(zip(support, counts))
+    return Composition(tuple(at.get(x, 0) for x in range(r)))
 
 
 @lru_cache(maxsize=16)
@@ -545,30 +548,11 @@ def _gather(order: tuple[int, ...], max_weight: int) -> tuple[int, ...]:
     return tuple(place[tuple(counts[j] for j in order)] for counts in classes)
 
 
-def support_distributions(key, max_weight: int) -> tuple[QPolynomial, ...]:
-    """The polynomials of the classes of full_support_counts(k, max_weight),
-    k the letters of the restricted ``key``: the tuple of its form, read
-    through the gather of its order."""
-    form, order = key
-    polys = _form_distributions(form, max_weight)
-    return tuple(map(polys.__getitem__, _gather(order, max_weight)))
-
-
 def distributions_up_to(stat: MajInvStatistic, max_weight: int) -> list[QPolynomial]:
     """distribution(stat, c) for every c in compositions_up_to(stat.size,
-    max_weight), in that order, refused as support_groups refuses.
-
-    The statistic is restricted once per support, and the polynomials of all
-    the classes with that support are read as one memoized tuple; the empty
-    class gets 1.
-    """
-    groups = support_groups(stat.size, max_weight)
-    out = [QPolynomial.one()] * len(compositions_up_to(stat.size, max_weight))
-    for support, positions in groups:
-        polys = support_distributions(restricted_key(stat, support), max_weight)
-        for i, poly in zip(positions, polys):
-            out[i] = poly
-    return out
+    max_weight), in that order, refused as supports refuses."""
+    supports(stat.size, max_weight)
+    return [distribution(stat, c) for c in compositions_up_to(stat.size, max_weight)]
 
 
 @lru_cache(maxsize=16)
@@ -594,7 +578,7 @@ def _mahonian_verdict(u: Relation, v: Relation, max_weight: int) -> bool:
     refused: the verdicts of its supports, up to the first that fails."""
     return all(
         _is_mahonian_on(_restrict(u, v, support)[0], max_weight)
-        for support, _ in _support_groups(u.size, max_weight)
+        for support in _letter_sets(u.size, max_weight)
     )
 
 
@@ -603,13 +587,47 @@ def is_mahonian_up_to(stat: MajInvStatistic, max_weight: int) -> bool:
 
     A finite certificate only; the bound is part of the name on purpose.
     Compared a support at a time, stopping at the first that fails, and
-    memoized on (U, V, max_weight); a request past the budgets of
-    support_groups is refused first, even when its verdict is memoized.
+    memoized on (U, V, max_weight); a request past the budgets of supports
+    is refused first, even when its verdict is memoized.
     """
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
-    support_groups(stat.size, max_weight)
+    supports(stat.size, max_weight)
     return _mahonian_verdict(stat.maj_relation, stat.inv_relation, max_weight)
+
+
+def certificate_failures(
+    stat: MajInvStatistic, max_weight: int, verdicts: dict, key_of, expected_of
+) -> list:
+    """(class, distribution, expected) for each class of weight <= max_weight
+    over [stat.size] whose walked polynomial differs from its expected one,
+    in the order of compositions_up_to: a certificate's violations.  The
+    caller makes the budget checks first, with supports.
+
+    Compared a support at a time: the walked tuple of the restricted
+    statistic, its form's tuple read through the gather of its order,
+    against ``expected_of(key)``, key = ``key_of(support)`` fixing both
+    tuples, the verdict memoized in ``verdicts`` on that key.  A support
+    whose verdict holds is passed over; the classes of any other are
+    compared one by one from the two tuples, and only the failing ones are
+    built."""
+    failures = []
+    for support in _letter_sets(stat.size, max_weight):
+        key = key_of(support)
+        if verdicts.get(key):
+            continue
+        form, order = restricted_key(stat, support)
+        polys = _form_distributions(form, max_weight)
+        got = tuple(map(polys.__getitem__, _gather(order, max_weight)))
+        expected = expected_of(key)
+        verdicts[key] = got == expected
+        classes = full_support_counts(len(support), max_weight)
+        failures += [
+            (_placed(stat.size, support, counts), g, e)
+            for counts, g, e in zip(classes, got, expected)
+            if g != e
+        ]
+    return sorted(failures, key=lambda failure: (failure[0].weight, failure[0].counts))
 
 
 def bipartitional_product_formula(c: Composition, b: Bipartition) -> QPolynomial:
@@ -648,7 +666,7 @@ def _clear_memos() -> None:
         _spread,
         _relabel,
         _walk,
-        _support_groups,
+        _letter_sets,
         full_support_counts,
         _form_distributions,
         _gather,

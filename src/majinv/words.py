@@ -13,7 +13,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 _DECIMAL = re.compile(r"0|[1-9][0-9]*")  # ASCII digits, no sign, no leading zero
@@ -187,11 +186,9 @@ def compositions_of_weight(r: int, n: int) -> Iterator[Composition]:
         yield Composition(tuple(map(operator.sub, sums + (n,), (0,) + sums)))
 
 
-@lru_cache(maxsize=16)
 def compositions_up_to(r: int, max_weight: int) -> tuple[Composition, ...]:
     """All compositions into r parts of weight 0..max_weight: by weight, then
-    in lex order.  Cached, since certificates walk the same classes for many
-    statistics; callers share the tuple."""
+    in lex order."""
     return tuple(
         c for n in range(max_weight + 1) for c in compositions_of_weight(r, n)
     )

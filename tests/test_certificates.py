@@ -107,10 +107,67 @@ def test_is_mahonian_up_to_stops_at_the_first_failing_support():
     stat = MajInvStatistic(
         Relation.from_pairs(2, [(1, 1), (2, 2)]), Relation.from_pairs(2, [])
     )
-    assert len(qseries.support_groups(2, 4)[0][0]) == 1
+    assert len(qseries.supports(2, 4)[0]) == 1
     _clear_engine_memos()
     assert not is_mahonian_up_to(stat, 4)
     assert qseries._form_distributions.cache_info().currsize == 1
+
+
+def _support_classes(r, max_weight):
+    # (support, its classes placed on [r]) per support, in supports' order
+    return [
+        (
+            support,
+            [
+                qseries._placed(r, support, counts)
+                for counts in qseries.full_support_counts(len(support), max_weight)
+            ],
+        )
+        for support in qseries.supports(r, max_weight)
+    ]
+
+
+def _grouped_by_support(r, max_weight):
+    # the grouping the certificates once made: the classes of
+    # compositions_up_to with a non-empty support, grouped by it
+    groups = {}
+    for c in compositions_up_to(r, max_weight):
+        if c.weight:
+            support = tuple(x for x in range(r) if c.counts[x])
+            groups.setdefault(support, []).append(c)
+    return groups
+
+
+def test_supports_and_placed_counts_give_the_classes_of_each_support_in_order():
+    for r in range(1, 5):
+        for max_weight in range(7):
+            got = _support_classes(r, max_weight)
+            assert [len(support) for support, _ in got] == sorted(
+                len(support) for support, _ in got
+            )
+            assert dict(got) == _grouped_by_support(r, max_weight), (r, max_weight)
+            assert len(got) == len(dict(got))  # each support once
+            placed = [c for _, classes in got for c in classes]
+            by_class_order = sorted(placed, key=lambda c: (c.weight, c.counts))
+            assert by_class_order == list(compositions_up_to(r, max_weight))[1:]
+
+
+def test_a_certificate_builds_no_class_beyond_full_support_counts(monkeypatch):
+    # the classes of compositions_up_to(64, 2) number 2,145; a certificate
+    # builds only the full-support classes over one and two letters
+    stat = inv_stat(64)
+    expected = sum(len(compositions_up_to(k, 2)) for k in (1, 2))
+    built = []
+    post_init = Composition.__post_init__
+
+    def counted(c):
+        built.append(c)
+        post_init(c)
+
+    _clear_engine_memos()
+    monkeypatch.setattr(Composition, "__post_init__", counted)
+    assert is_mahonian_up_to(stat, 2)
+    assert len(built) == expected == 9
 
 
 def _bipartitions(r):
@@ -121,14 +178,13 @@ def test_product_formulas_on_a_support_match_the_formula_class_by_class():
     # the restricted bipartition's tuple holds, class by class, the formula
     # of the whole bipartition on the classes with that support
     for r, max_weight in ((1, 6), (2, 6), (3, 5)):
-        comps = compositions_up_to(r, max_weight)
         bips = _bipartitions(r)
         assert any(1 in b.betas for b in bips) and any(0 in b.betas for b in bips)
         for b in bips:
-            for support, positions in qseries.support_groups(r, max_weight):
+            for support, classes in _support_classes(r, max_weight):
                 got = _product_formulas(_restricted_bipartition(b, support), max_weight)
                 assert got == tuple(
-                    bipartitional_product_formula(comps[i], b) for i in positions
+                    bipartitional_product_formula(c, b) for c in classes
                 ), (b, support)
 
 
@@ -153,13 +209,12 @@ def _subset_formula(a, c):
 
 def test_subset_formulas_on_a_support_match_the_formula_class_by_class():
     for max_weight in (2, 4, 5):
-        comps = compositions_up_to(4, max_weight)
         for a in SUBSETS:
-            for support, positions in qseries.support_groups(4, max_weight):
+            for support, classes in _support_classes(4, max_weight):
                 got = _subset_formulas(
                     len(support), _restricted_letters(a, support), max_weight
                 )
-                assert got == tuple(_subset_formula(a, comps[i]) for i in positions)
+                assert got == tuple(_subset_formula(a, c) for c in classes)
 
 
 # ---------------------------------------------------------------------------
@@ -343,5 +398,20 @@ def test_product_formula_runs_at_r4_and_refuses_a_weight_past_its_budget():
     with pytest.raises(ValueError, match="capped at 4"):
         verify_product_formula(5, 2)
     assert mahonian.PRODUCT_FORMULA_BUDGET < sum(
-        mahonian._product_formula_steps(4, 6, 2112)
+        mahonian._suite_steps(4, 6, 2112)
     )
+
+
+def test_applications_are_refused_past_weight_7_before_any_certificate():
+    # 532 certificates over [4]: 4 ratio, 16 marked-successor, and 256 each
+    # of subset-total and subset-distribution
+    steps = {w: sum(mahonian._suite_steps(4, w, 532)) for w in (7, 8)}
+    assert steps[7] <= mahonian.APPLICATIONS_BUDGET < steps[8]
+    _clear_engine_memos()
+    for max_weight in (8, 9):
+        with pytest.raises(ValueError, match="to check the applications"):
+            verify_applications(max_weight)
+    assert qseries._mahonian_verdict.cache_info().currsize == 0
+    # past a single certificate's budget, that refusal comes first, as before
+    with pytest.raises(ValueError, match="a certificate up to weight 10 over"):
+        verify_applications(10)

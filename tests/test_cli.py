@@ -1123,12 +1123,17 @@ def test_verify_theorem_majinv_at_a_weight_past_the_recursion_limit(capsys):
 
 def test_walks_past_the_recursion_depth_or_word_budget_are_refused_quickly(capsys):
     # a class of 1,201 words whose walk would recurse 1,200 letters deep, a
-    # certificate over the 2**41 - 1 words of weight <= 40 over [2], and one
-    # over [1] whose 11,001 classes hold about 4.4e11 coefficient slots
+    # certificate over the 2**41 - 1 words of weight <= 40 over [2], one
+    # over [1] whose 11,001 classes hold about 4.4e11 coefficient slots, ones
+    # over [4] of 11.7 million classes and more, refused before any is
+    # listed, and the 532 certificates of applications at weight 8
     for argv, reason in (
         (("distribution", "--stat", "inv", "--composition", "1200,1"), "recurse"),
         (("verify", "macmahon", "--size", "2", "--max-weight", "40"), "budget"),
         (("verify", "macmahon", "--size", "1", "--max-weight", "11000"), "budget"),
+        (("verify", "macmahon", "--size", "4", "--max-weight", "120"), "budget"),
+        (("verify", "macmahon", "--size", "4", "--max-weight", "1000"), "budget"),
+        (("verify", "applications", "--max-weight", "8"), "applications"),
         (("distribution", "--stat", "maj", "--composition", "6,6,6"), "budget"),
     ):
         start = time.perf_counter()

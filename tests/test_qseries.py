@@ -27,6 +27,7 @@ from majinv import (
     q_integer,
     q_multinomial,
     qseries,
+    verify_product_formula,
 )
 from majinv.words import compositions_of_weight, compositions_up_to, enumerate_class
 
@@ -432,6 +433,7 @@ def test_relabelled_statistics_share_one_walk_per_class_orbit():
 def test_clear_memos_empties_every_memo_of_the_module():
     stat = _stat(3, [(1, 2)], [(2, 3), (3, 1)])
     distributions_up_to(stat, 4)
+    verify_product_formula(2, 3)  # reads the walked tuples through their gathers
     assert is_mahonian_up_to(maj_stat(3), 4)
     bipartitional_product_formula(Composition((1, 2)), Bipartition(((1, 2),), (0,)))
     memos = {
