@@ -100,7 +100,6 @@ from .words import (
 RELATION_ENUM_CAP = 4  # single-relation sweeps walk 2**(r*r) masks
 PAIR_SWEEP_CAP = 3  # pair sweeps walk 4**(r*r) ordered pairs
 STAGE_CELL_BUDGET = 1 << 16  # word cells per sweep or psi chunk; bounds the temporaries
-WORD_BYTES = 96  # a listed Word takes this plus 8 bytes per letter, by tracemalloc
 # letters of the words a pair sweep tables, over all its sizes and weights.  A
 # sweep's time grows with them: theorem-majinv took 0.2-0.3 s at r = 1,
 # W = 1253 (785,630 letters) and 0.7-1.0 s at r = 3, W = 9 (234,660; there
@@ -116,9 +115,9 @@ SWEEP_LETTER_BUDGET = 3 << 18
 PSI_WORK_BUDGET = 1 << 24
 # verify_product_formula's steps (_suite_steps, per relation).  At the edges,
 # on 2 vCPUs, one cold run per process over three processes: (r, max_weight)
-# = (4, 5) took 1.8-2.2 s, (3, 8) 1.4-1.5 s, (2, 16) 2.1-2.4 s and (1, 422)
-# 2.1-2.3 s (a 328 MB peak, mostly memoized coefficient lists).  (4, 6), 6.2 s,
-# (3, 9), 4.6 s, and (2, 17), 3.7-4.3 s, are refused.
+# = (4, 5) took 1.8-2.2 s, (3, 8) 1.4-1.5 s and (2, 16) 2.1-2.4 s; (4, 6), 6.2 s,
+# (3, 9), 4.6 s, and (2, 17), 3.7-4.3 s, are refused.  At r = 1 the certificate
+# budget refuses first, from weight 370 on: (1, 369) took 1.3-1.8 s, a 226 MB peak.
 PRODUCT_FORMULA_BUDGET = 3 << 20
 # verify_applications' steps (_suite_steps, per certificate; 532 over [4]).  On
 # 2 vCPUs, one run each: max_weight 7 took 0.9 s; 8 (3.6 s) and 9 (15 s) are
@@ -560,32 +559,32 @@ def verify_classification(r: int, max_weight: int) -> Report:
 @_stopwatch
 def verify_distinctness(r: int, max_len: int) -> Report:
     """Separate every pair of classified mahonian statistics by a word of
-    length <= max_len; unseparated pairs are reported as violations."""
+    length <= max_len; unseparated pairs are reported as violations.  One pass
+    reads the words in words_of_length order, evaluating the statistics of open
+    pairs once a word, until every pair has its first separator.  It is refused
+    before any word is read when the words it may read pass qseries.WORD_BUDGET."""
     _check_size(r, PAIR_SWEEP_CAP)
     _check_max_len(max_len)
     lengths = range(1, max_len + 1)
-    word_bytes = WORD_BYTES + 8 * max_len
     qseries.check_budget(
-        (count * word_bytes for count in _words_of_lengths(r, lengths)),
-        qseries.BYTE_BUDGET,
-        "bytes",
-        "to list the words",
+        _words_of_lengths(r, lengths), qseries.WORD_BUDGET, "words", "to read the words"
     )
     stats = [st for order in total_orders(r) for st in enumerate_mahonian_stats(order)]
-    words = [w for n in lengths for w in words_of_length(r, n)]
-    report = Report(checked=len(stats) * (len(stats) - 1) // 2)
-    separators: dict[str, str] = {}
-    for (i, a), (j, b) in itertools.combinations(enumerate(stats), 2):
-        witness = next((w for w in words if a.evaluate(w) != b.evaluate(w)), None)
-        if witness is None:
-            report.violations.append({"stat_a": _stat_json(a), "stat_b": _stat_json(b)})
-        else:
-            separators[f"{i},{j}"] = witness.text()
-    report.witnesses = {
-        "statistics": [_stat_json(st) for st in stats],
-        "first_separators": separators,
-    }
-    return report
+    separators = dict.fromkeys(itertools.combinations(range(len(stats)), 2))
+    unseparated = list(separators)
+    words = (w for n in lengths for w in words_of_length(r, n))
+    while unseparated and (word := next(words, None)) is not None:
+        live = set(itertools.chain(*unseparated))
+        values = {k: stats[k].evaluate(word) for k in live}
+        for i, j in unseparated:
+            if values[i] != values[j]:
+                separators[i, j] = word.text()
+        unseparated = [pair for pair in unseparated if separators[pair] is None]
+    jsons = [_stat_json(st) for st in stats]
+    violations = [{"stat_a": jsons[i], "stat_b": jsons[j]} for i, j in unseparated]
+    firsts = {f"{i},{j}": w for (i, j), w in separators.items() if w is not None}
+    witnesses = {"statistics": jsons, "first_separators": firsts}
+    return Report(checked=len(separators), violations=violations, witnesses=witnesses)
 
 
 def _stat_json(stat: MajInvStatistic) -> dict:

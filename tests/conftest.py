@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from majinv import INF, GMap, is_kappa_extension
+from majinv import mahonian
 from majinv.mahonian import enumerate_relations
 
 
@@ -51,3 +52,18 @@ def kappa_extension_pairs():
         return scanned[r]
 
     return pairs
+
+
+@pytest.fixture()
+def words_read(monkeypatch):
+    """The words verify_distinctness reads from words_of_length, in order."""
+    read = []
+    listed = mahonian.words_of_length
+
+    def spy(r, n):
+        for word in listed(r, n):
+            read.append(word)
+            yield word
+
+    monkeypatch.setattr(mahonian, "words_of_length", spy)
+    return read

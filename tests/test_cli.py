@@ -417,13 +417,37 @@ def test_statistic_alphabets_are_capped_before_building(capsys):
 
 
 def test_verify_distinctness_refuses_word_lists_beyond_the_memory_budget(capsys):
-    # listing the words up to length 16 over [3] would take about 9.6 GB
+    # the words up to length 16 over [3], which the pass may read, number about
+    # 64.6 million, 61 times the word budget
     for length in ("16", str(10**9)):
         code, out, err = run(
             capsys, "verify", "distinctness", "--size", "3", "--max-len", length
         )
         assert code == 1 and out == "", length
         assert err.startswith("error:") and "budget" in err, length
+
+
+def test_verify_distinctness_edges_of_the_word_budget(capsys, words_read):
+    # the words up to length 12 over [3] (797,160) and 19 over [2] (1,048,574)
+    # are within the 2**20 words the pass may read; one length more is not
+    for size, length, words in (("3", "12", 21), ("2", "19", 10)):
+        del words_read[:]
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", "distinctness", "--size", size, "--max-len", length
+        )
+        assert time.perf_counter() - t0 < 1.0, (size, length)
+        assert code == 0 and err == "" and len(words_read) == words, (size, length)
+        assert json.loads(out)["violations"] == []
+    for size, length in (("3", "13"), ("3", "16"), ("3", str(10**9)), ("2", "20")):
+        del words_read[:]
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", "distinctness", "--size", size, "--max-len", length
+        )
+        assert time.perf_counter() - t0 < 1.0, (size, length)
+        assert code == 1 and out == "" and not words_read, (size, length)
+        assert err.startswith("error:") and "budget" in err, (size, length)
 
 
 def test_verify_pair_sweep_refuses_tables_beyond_the_memory_budget(capsys):

@@ -35,6 +35,7 @@ from majinv.mahonian import (
     verify_psi,
     verify_theorem_majinv,
 )
+from majinv.relations import total_orders
 from majinv.transform import psi
 from majinv.words import (
     _trusted_word,
@@ -633,6 +634,111 @@ def test_distinctness_needs_words_longer_than_one():
     assert len(report.violations) == 6  # every pair collides on single letters
 
 
+def _listed_distinctness(r, max_len):
+    """The oracle of verify_distinctness: list every word up to max_len, then
+    scan them pair by pair, in pair order, for each pair's first separator."""
+    from majinv import mahonian
+
+    stats = [
+        st for order in total_orders(r) for st in mahonian.enumerate_mahonian_stats(order)
+    ]
+    words = [w for n in range(1, max_len + 1) for w in words_of_length(r, n)]
+    report = mahonian.Report(checked=len(stats) * (len(stats) - 1) // 2)
+    separators = {}
+    for (i, a), (j, b) in itertools.combinations(enumerate(stats), 2):
+        witness = next((w for w in words if a.evaluate(w) != b.evaluate(w)), None)
+        if witness is None:
+            report.violations.append(
+                {"stat_a": mahonian._stat_json(a), "stat_b": mahonian._stat_json(b)}
+            )
+        else:
+            separators[f"{i},{j}"] = witness.text()
+    report.witnesses = {
+        "statistics": [mahonian._stat_json(st) for st in stats],
+        "first_separators": separators,
+    }
+    return report
+
+
+def _doubled_statistics(monkeypatch):
+    """From now on, the first statistic below each total order is listed twice
+    in a row, so that those pairs cannot separate."""
+    from majinv import mahonian
+
+    listed = mahonian.enumerate_mahonian_stats
+
+    def doubled(order):
+        stats = list(listed(order))
+        return [stats[0]] + stats
+
+    monkeypatch.setattr(mahonian, "enumerate_mahonian_stats", doubled)
+
+
+def test_distinctness_matches_the_listed_scan():
+    for r in (1, 2, 3):
+        for max_len in range(9):
+            got = verify_distinctness(r, max_len)
+            assert _same_reports(got, _listed_distinctness(r, max_len)), (r, max_len)
+
+
+def test_distinctness_reads_words_until_every_pair_is_separated(words_read):
+    for r, max_len, count in ((3, 12, 21), (2, 19, 10), (1, 5000, 0)):
+        del words_read[:]
+        report = verify_distinctness(r, max_len)
+        assert report.ok and len(words_read) == count, (r, max_len)
+        firsts = report.witnesses["first_separators"]
+        assert len(firsts) == report.checked
+        # the last word read is the last pair's first separator
+        assert not words_read or words_read[-1].text() in firsts.values()
+    # one statistic leaves no pair, so the size-1 edge is the budget's own
+    del words_read[:]
+    assert verify_distinctness(1, 1 << 20).ok and not words_read
+    with pytest.raises(ValueError, match="budget"):
+        verify_distinctness(1, (1 << 20) + 1)
+
+
+def test_distinctness_reads_every_word_while_a_pair_cannot_separate(
+    monkeypatch, words_read
+):
+    report = verify_distinctness(2, 1)
+    assert len(words_read) == 2 and len(report.violations) == 6
+    _doubled_statistics(monkeypatch)
+    for r, max_len, words, pairs in ((2, 3, 14, 2), (3, 3, 39, 6)):
+        del words_read[:]
+        report = verify_distinctness(r, max_len)
+        assert len(words_read) == words and len(report.violations) == pairs, r
+        # the doubled pairs are listed in pair order, among separated ones
+        assert _same_reports(report, _listed_distinctness(r, max_len)), r
+    # once the other pairs are separated, a word evaluates only the two
+    # statistics of each open pair
+    evaluated = []
+    evaluate = MajInvStatistic.evaluate
+    monkeypatch.setattr(
+        MajInvStatistic,
+        "evaluate",
+        lambda stat, word: evaluated.append(len(words_read)) or evaluate(stat, word),
+    )
+    del words_read[:]
+    assert len(verify_distinctness(3, 6).violations) == 6
+    assert len(words_read) == 1092 and evaluated.count(len(words_read)) == 12
+
+
+def test_distinctness_holds_no_word_list():
+    # the pass at max_len 12 reads the same 21 words over [3] as at 3; a list
+    # of the 797,160 words up to length 12 would take the peak past 100 MB
+    import tracemalloc
+
+    peaks = []
+    for max_len in (3, 12):
+        tracemalloc.start()
+        try:
+            assert verify_distinctness(3, max_len).ok
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + (1 << 20)
+
+
 def test_kappa_machinery_r2():
     report = verify_kappa_machinery(2)
     assert report.ok
@@ -828,7 +934,8 @@ def test_verifiers_refuse_alphabets_below_one():
 
 
 def test_distinctness_refuses_a_word_list_beyond_the_memory_budget():
-    # the 3**16 words of length 16 alone take about 9.6 GB as listed Words
+    # the pass may read every word up to max_len, and over [3] the 3**16 words
+    # of length 16 alone pass the word budget 41 times over
     for max_len in (16, 10**9):
         with pytest.raises(ValueError, match="budget"):
             verify_distinctness(3, max_len)
