@@ -68,6 +68,7 @@ from .relations import (
     Bipartition,
     GMap,
     INF,
+    JSON_SIZE_CAP,
     Relation,
     empty_relation,
     is_bipartitional,
@@ -97,8 +98,6 @@ from .words import (
     words_of_length,
 )
 
-RELATION_ENUM_CAP = 4  # single-relation sweeps walk 2**(r*r) masks
-PAIR_SWEEP_CAP = 3  # pair sweeps walk 4**(r*r) ordered pairs
 STAGE_CELL_BUDGET = 1 << 16  # word cells per sweep or psi chunk; bounds the temporaries
 # letters of the words a pair sweep tables, over all its sizes and weights.  A
 # sweep's time grows with them: theorem-majinv took 0.2-0.3 s at r = 1,
@@ -158,16 +157,26 @@ def _stopwatch(verify):
     return timed
 
 
-def _check_size(r: int, cap: int) -> None:
-    if not 1 <= r <= cap:
-        raise ValueError(
-            f"refusing alphabet size {r}: size must be >= 1 and is capped at {cap}"
-        )
+def _check_size(r: int, count, budget: int, unit: str) -> None:
+    """Refuse r < 1, then an r whose work, ``count(r)`` ``unit``, passes ``budget``."""
+    if r < 1:
+        raise ValueError(f"refusing alphabet size {r}: size must be >= 1")
+    qseries.check_budget((count(r),), budget, unit, f"alphabet size {r}")
+
+
+def _relations(r: int) -> int:
+    """The 2**(r*r) relations on [r]; past r = 8, counted at 8, past any budget."""
+    return 1 << min(r, 8) ** 2
+
+
+def _statistic_pairs(r: int) -> int:
+    """Pairs of the (r!)**2 classified statistics, r counted at 8 past 8 too."""
+    return math.comb(math.factorial(min(r, 8)) ** 2, 2)
 
 
 def enumerate_relations(r: int):
     """All 2**(r*r) relations on [r] in increasing bitmask order."""
-    _check_size(r, RELATION_ENUM_CAP)
+    _check_size(r, _relations, qseries.WORD_BUDGET, "relations")
     for mask in range(1 << (r * r)):
         yield Relation.from_mask(r, mask)
 
@@ -316,7 +325,7 @@ def _weight_tables(r: int, n: int):
     return (keybase, *_cell_rows(r, words))
 
 
-@functools.lru_cache(maxsize=PAIR_SWEEP_CAP)
+@functools.lru_cache(maxsize=3)  # the sizes the pass-array check admits
 def _restriction_table(r: int) -> np.ndarray:
     """Row k maps every mask on [r] to the mask of its restriction to [r]
     minus the letter k + 1, the other letters relabelled 1..r-1 in order.
@@ -410,6 +419,8 @@ def _staged_sweep(r: int, max_weight: int, masks_of):
     the survivor count and the number of pairs scored on the classes that use
     all r letters.
     """
+    _check_size(r, lambda k: _relations(k) ** 2, qseries.BYTE_BUDGET, "array bytes")
+    _check_max_weight(max_weight)
     tabled = (
         n * _full_support_words(k, n)
         for k in range(1, r + 1)
@@ -420,7 +431,7 @@ def _staged_sweep(r: int, max_weight: int, masks_of):
     return passes[-1].ravel(), survivors, scored
 
 
-@functools.lru_cache(maxsize=RELATION_ENUM_CAP)
+@functools.lru_cache(maxsize=4)  # the sizes the relation check admits
 def _kappa_bounds_table(r: int) -> np.ndarray:
     """Row u holds kappa_bounds of the relation with mask u, as the columns
     (need, forbid), formed bitwise over every mask at once: (x, z) is forced
@@ -493,8 +504,6 @@ def _check_max_len(max_len: int) -> None:
 def verify_theorem_majinv(r: int, max_weight: int) -> Report:
     """Sweep every ordered relation pair (U, S) on [r] and confirm that
     equidistribution up to max_weight holds exactly for kappa-extensions."""
-    _check_size(r, PAIR_SWEEP_CAP)
-    _check_max_weight(max_weight)
     got, survivors, scored = _staged_sweep(
         r, max_weight, lambda k, u, s: (u, s & ~u, s)
     )
@@ -519,8 +528,6 @@ def verify_classification(r: int, max_weight: int) -> Report:
     """Sweep every pair (U, V): the statistic maj'_U + inv'_V is mahonian up
     to max_weight exactly when U, V are disjoint, U join V is a total order
     and that order kappa-extends U; the count of winners must be r! * r!."""
-    _check_size(r, PAIR_SWEEP_CAP)
-    _check_max_weight(max_weight)
     # inv'_{natural order} is inv, whose class distributions are q-multinomial;
     # each size k of the seeding targets the natural order of [k]
     got, survivors, scored = _staged_sweep(
@@ -563,7 +570,7 @@ def verify_distinctness(r: int, max_len: int) -> Report:
     reads the words in words_of_length order, evaluating the statistics of open
     pairs once a word, until every pair has its first separator.  It is refused
     before any word is read when the words it may read pass qseries.WORD_BUDGET."""
-    _check_size(r, PAIR_SWEEP_CAP)
+    _check_size(r, _statistic_pairs, qseries.WORD_BUDGET, "statistic pairs")
     _check_max_len(max_len)
     lengths = range(1, max_len + 1)
     qseries.check_budget(
@@ -613,8 +620,7 @@ def verify_kappa_machinery(r: int) -> Report:
     The chain {(1,2),(2,3)} and the divisibility relation on [9] are also
     checked to be rejected.
     """
-    _check_size(r, RELATION_ENUM_CAP)
-    rels = list(enumerate_relations(r))
+    rels = list(enumerate_relations(r))  # refused first, by the relation check
     bounds = _kappa_bounds_table(r)
     need, forbid = bounds[:, 0], bounds[:, 1]
     bip = np.array([is_bipartitional(u) for u in rels])
@@ -725,7 +731,7 @@ def verify_product_formula(r: int, max_weight: int) -> Report:
     the restricted bipartition, the verdict memoized on that pair of keys.
     A relation's failing classes are read from the same tuples and listed in
     the order of compositions_up_to."""
-    _check_size(r, RELATION_ENUM_CAP)
+    _check_size(r, _relations, qseries.WORD_BUDGET, "relations")
     _check_max_weight(max_weight)
     bounds = _kappa_bounds_table(r)
     extensible = np.flatnonzero(bounds[:, 0] & bounds[:, 1] == 0)
@@ -772,7 +778,7 @@ def verify_macmahon(r: int, max_weight: int) -> Report:
     max_weight over [r].  Both are certified a support at a time by
     qseries.is_mahonian_up_to; only when one fails are the classes listed
     one by one."""
-    _check_size(r, RELATION_ENUM_CAP)
+    _check_size(r, lambda k: k, JSON_SIZE_CAP, "letters")  # the statistic-alphabet rule
     _check_max_weight(max_weight)
     inv = inv_stat(r)
     maj = maj_stat(r)
@@ -875,7 +881,7 @@ def verify_psi(r: int, max_len: int) -> Report:
     only a U that fails has its cube walked, to list each failing S with its
     shortlex-least failing word: shortest first, then in lex order.
     """
-    _check_size(r, RELATION_ENUM_CAP)
+    _check_size(r, _relations, qseries.WORD_BUDGET, "relations")
     _check_max_len(max_len)
     bounds = _kappa_bounds_table(r)
     extensible = np.flatnonzero(bounds[:, 0] & bounds[:, 1] == 0)

@@ -8,6 +8,21 @@ from majinv import INF, GMap, is_kappa_extension
 from majinv import mahonian
 from majinv.mahonian import enumerate_relations
 
+# the least --size that each verify suite reading one refuses, by the work it
+# would do: 2**(r*r) relations past the word budget of 2**20 (closure,
+# product-formula, psi), a 4**(r*r)-byte pass array past the byte budget of
+# 2**30 (the pair sweeps), the pairs of (r!)**2 statistics past the word budget
+# (distinctness), and a statistic alphabet past 256 letters (macmahon)
+FIRST_REFUSED_SIZE = {
+    "closure": 5,
+    "product-formula": 5,
+    "psi": 5,
+    "theorem-majinv": 4,
+    "classification": 4,
+    "distinctness": 5,
+    "macmahon": 257,
+}
+
 
 def kappa_extension_by_definition(r, u, s):
     """S kappa-extends U: U lies inside S, and x U y with not(z U y) gives

@@ -395,7 +395,7 @@ def test_product_formula_runs_at_r4_and_refuses_a_weight_past_its_budget():
     for r, max_weight in ((4, 6), (3, 9), (2, 17), (1, 423), (4, 10**9)):
         with pytest.raises(ValueError, match="budget"):
             verify_product_formula(r, max_weight)
-    with pytest.raises(ValueError, match="capped at 4"):
+    with pytest.raises(ValueError, match="past the budget of 1,048,576 relations"):
         verify_product_formula(5, 2)
     assert mahonian.PRODUCT_FORMULA_BUDGET < sum(
         mahonian._suite_steps(4, 6, 2112)

@@ -6,6 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import FIRST_REFUSED_SIZE
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -333,7 +334,7 @@ def test_verify_refuses_a_negative_max_len(capsys):
 
 def test_verify_size_cap(capsys):
     code, _, err = run(capsys, "verify", "theorem-majinv", "--size", "4")
-    assert code == 1 and "capped" in err
+    assert code == 1 and "past the budget of 1,073,741,824 array bytes" in err
 
 
 def test_verify_psi_runs_at_size_4_and_is_capped_there(capsys):
@@ -343,7 +344,7 @@ def test_verify_psi_runs_at_size_4_and_is_capped_there(capsys):
     assert code == 0 and report["violations"] == []
     assert report["witnesses"]["kappa_extension_pairs"] == 180715
     code, out, err = run(capsys, "verify", "psi", "--size", "5", "--max-len", "1")
-    assert code == 1 and out == "" and "capped at 4" in err
+    assert code == 1 and out == "" and "past the budget of 1,048,576 relations" in err
 
 
 def test_verify_closure_runs_at_size_4_and_is_capped_there(capsys):
@@ -355,7 +356,7 @@ def test_verify_closure_runs_at_size_4_and_is_capped_there(capsys):
     assert report["witnesses"] == {"kappa_extensible": 2112, "bipartitional": 730}
     code, out, err = run(capsys, "verify", "closure", "--size", "5")
     assert code == 1 and out == ""
-    assert err.startswith("error: refusing alphabet size 5") and "capped at 4" in err
+    assert err.startswith("error: refusing alphabet size 5") and "relations" in err
 
 
 def test_verify_product_formula_is_capped_at_4_and_refuses_heavy_weights(capsys):
@@ -363,7 +364,7 @@ def test_verify_product_formula_is_capped_at_4_and_refuses_heavy_weights(capsys)
     # budget refuses (4, 6) before any relation is walked
     t0 = time.perf_counter()
     for argv, message in (
-        (["--size", "5", "--max-weight", "2"], "capped at 4"),
+        (["--size", "5", "--max-weight", "2"], "relations"),
         (["--size", "4", "--max-weight", "6"], "budget"),
     ):
         code, out, err = run(capsys, "verify", "product-formula", *argv)
@@ -390,6 +391,79 @@ def test_verify_refuses_sizes_below_one(capsys, suite):
         code, out, err = run(capsys, "verify", suite, "--size", size)
         assert code == 1 and out == "", size
         assert err.startswith("error:") and "--size" in err, size
+
+
+@pytest.mark.parametrize("suite", sorted(FIRST_REFUSED_SIZE))
+def test_sized_suites_are_refused_by_their_cost_before_building(capsys, suite):
+    # each refusal is decided from r alone: nothing is built, and a huge r
+    # costs no more than the first refused one
+    import tracemalloc
+
+    for size in (FIRST_REFUSED_SIZE[suite], 100000):
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            code, out, err = run(capsys, "verify", suite, "--size", str(size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 1.0, size
+        assert code == 1 and out == "", size
+        assert err.startswith(f"error: refusing alphabet size {size}: "), size
+        assert peak < 1 << 20, (size, peak)
+    # sizes 0 and -1 keep their refusal: test_verify_refuses_sizes_below_one
+    # and, in test_mahonian, test_verifiers_refuse_alphabets_below_one
+
+
+def test_verify_distinctness_runs_at_size_4(capsys, words_read):
+    # the 576 statistics over [4] give 165,600 pairs, all separated within
+    # the first 36 words
+    code, out, err = run(
+        capsys, "verify", "distinctness", "--size", "4", "--max-len", "4"
+    )
+    report = json.loads(out)
+    assert code == 0 and err == "" and report["violations"] == []
+    assert report["checked"] == 165_600 and len(words_read) == 36
+    letters = [len(w.split()) for w in report["witnesses"]["first_separators"].values()]
+    assert len(letters) == 165_600
+    assert {n: letters.count(n) for n in set(letters)} == {2: 158_976, 3: 6_624}
+
+
+def test_verify_macmahon_runs_up_to_the_statistic_alphabet_rule(capsys):
+    for size, weight, classes in (("5", "6", 462), ("256", "2", 33_153)):
+        code, out, err = run(
+            capsys, "verify", "macmahon", "--size", size, "--max-weight", weight
+        )
+        report = json.loads(out)
+        assert code == 0 and err == "" and report["violations"] == [], size
+        assert report["checked"] == classes, size
+    # past 256 letters the alphabet rule refuses; at 256 letters and weight 3
+    # the certificate's 256**3 words pass its step budget
+    for size, weight, reason in (("257", "2", "letters"), ("256", "3", "steps")):
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", "macmahon", "--size", size, "--max-weight", weight
+        )
+        assert time.perf_counter() - t0 < 1.0, size
+        assert code == 1 and out == "", size
+        assert err.startswith("error: refusing") and reason in err, size
+
+
+def test_cli_exits_quietly_when_its_reader_closes_the_pipe():
+    # the Report lists 17,982 violations; the reader keeps 100 bytes of it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    argv = ["verify", "theorem-majinv", "--size", "3", "--max-weight", "2"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "majinv", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert "Traceback" not in err and code == 1, err
 
 
 def test_statistic_alphabets_are_capped_before_building(capsys):
@@ -1087,7 +1161,7 @@ def test_fuzzed_verify_argv(capsys, suite, size, weight, length):
     refused = not all(_is_integer(t) for t in tokens)
     if not refused:
         r = 3 if size is None else int(size)
-        cap = 4 if suite in ("macmahon", "psi", "product-formula") else 3
+        cap = 256 if suite == "macmahon" else 4 if suite in ("psi", "product-formula") else 3
         refused = (
             (suite != "applications" and not 1 <= r <= cap)
             or (suite in WEIGHT_SUITES and int(weight) < 2)

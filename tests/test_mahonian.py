@@ -751,7 +751,7 @@ def test_kappa_machinery_r4():
     report = verify_kappa_machinery(4)
     assert report.ok and report.checked == 65538
     assert report.witnesses == {"kappa_extensible": 2112, "bipartitional": 730}
-    with pytest.raises(ValueError, match="capped at 4"):
+    with pytest.raises(ValueError, match="past the budget of 1,048,576 relations"):
         verify_kappa_machinery(5)
 
 

@@ -5,7 +5,10 @@ import collections
 import importlib
 from pathlib import Path
 
+from conftest import FIRST_REFUSED_SIZE
+
 import majinv
+from majinv.cli import VERIFY_SUITES
 
 PACKAGE = Path(majinv.__file__).parent
 
@@ -188,3 +191,33 @@ def test_traced_bench_names_exist():
         if not hasattr(importlib.import_module(f"majinv.{module}"), name)
     ]
     assert missing == []
+
+
+def test_every_sized_suite_has_a_refusal_row():
+    # a suite that reads --size is refused by its cost, and the refusal
+    # table of the tests names its first refused size
+    sized = sorted(s for s, (_, options) in VERIFY_SUITES.items() if "size" in options)
+    assert sized and sized == sorted(FIRST_REFUSED_SIZE)
+
+
+def _assigned_names(source: str) -> list[str]:
+    """The names a module assigns at module level."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return names
+
+
+def test_assigned_name_check_sees_each_form():
+    source = "A_CAP = 1\nB: int = 2\nfrom x import C_CAP\ndef f():\n    D_CAP = 3\n"
+    assert _assigned_names(source) == ["A_CAP", "B"]
+
+
+def test_mahonian_sets_no_alphabet_cap_by_hand():
+    # each suite refuses an alphabet size by the work it would do, against a
+    # budget of the package, not by a hand-set cap
+    names = _assigned_names((PACKAGE / "mahonian.py").read_text(encoding="utf-8"))
+    assert names and [name for name in names if name.endswith("_CAP")] == []
